@@ -1,8 +1,8 @@
 """mukailab: exact-arithmetic Mukai lattices, cohomological Fourier-Mukai
 transforms, twisted-stability walls and generating series.
 
-All arithmetic is exact (fractions.Fraction); all values are immutable,
-so every operation is thread-safe without coordination.
+All arithmetic is exact: NS classes are integer numerators over one
+denominator, and rationals reach the API as fractions.Fraction.
 """
 
 from .errors import LatticeMismatchError, MukaiLabError, ParseError, PreconditionError

@@ -68,9 +68,34 @@ def run(job, out=None):
 
 
 def _need(job, key):
-    if job.inputs is None or key not in job.inputs:
+    return _field(job.inputs, key)
+
+
+def _field(doc, key):
+    """doc[key] of an input object; a parse error when doc is not an
+    object or lacks the key."""
+    if doc is not None and not isinstance(doc, dict):
+        raise ParseError("input for %r must be a JSON object" % key)
+    if doc is None or key not in doc:
         raise ParseError("missing input field: %r" % key)
-    return job.inputs[key]
+    return doc[key]
+
+
+def _array(value, key):
+    if not isinstance(value, list):
+        raise ParseError("input field %r must be an array" % key)
+    return value
+
+
+def _rationals(value, key):
+    return tuple(parse_rational(x) for x in _array(value, key))
+
+
+def _int(value, key):
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParseError("bad integer for %r: %r" % (key, value)) from exc
 
 
 def _surface(job):
@@ -176,9 +201,10 @@ def _run_wallsolve(job):
 def _run_epoly(job):
     base = parse_laurent(_need(job, "base"))
     strata = []
-    for stratum in _need(job, "strata"):
-        matrix = [[parse_rational(x) for x in row] for row in stratum["pairings"]]
-        factors = [parse_laurent(f) for f in stratum["factors"]]
+    for stratum in _array(_need(job, "strata"), "strata"):
+        matrix = [_rationals(row, "pairings")
+                  for row in _array(_field(stratum, "pairings"), "pairings")]
+        factors = [parse_laurent(f) for f in _array(_field(stratum, "factors"), "factors")]
         strata.append((matrix, factors))
     result = series.wallcross_epoly(base, strata)
     rows = [[i, j, fmt_rational(c)] for (i, j), c in result.sorted_terms()]
@@ -186,7 +212,10 @@ def _run_epoly(job):
 
 
 def _run_partition(job):
-    r = int((job.extra or {}).get("r", (job.inputs or {}).get("r", 1)))
+    r = (job.extra or {}).get("r")
+    if r is None:
+        r = job.inputs.get("r", 1) if isinstance(job.inputs, dict) else 1
+    r = _int(r, "r")
     m = _surface(job) if job.surface else None
     from .lattice import enriques_lattice
     lat = m.ns if m is not None else enriques_lattice()
@@ -211,8 +240,9 @@ def _run_reduce(job):
     if kind == "rank-one":
         m = _surface(job)
         c1 = parse_class(_need(job, "c1"), m.ns)
-        trace = reductions.reduce_to_rank_one(int(_need(job, "l")), int(_need(job, "r")),
-                                              c1, int(_need(job, "a")), m)
+        trace = reductions.reduce_to_rank_one(_int(_need(job, "l"), "l"),
+                                              _int(_need(job, "r"), "r"),
+                                              c1, _int(_need(job, "a"), "a"), m)
         extra = {}
     elif kind == "enriques":
         m = _surface(job)
@@ -221,7 +251,8 @@ def _run_reduce(job):
         trace = red.trace
         extra = {"n": red.n, "hodge": laurent_to_json(red.hodge)}
     elif kind == "elliptic-jacobian":
-        trace = reductions.elliptic_gcd_reduce(int(_need(job, "r")), int(_need(job, "d")))
+        trace = reductions.elliptic_gcd_reduce(_int(_need(job, "r"), "r"),
+                                               _int(_need(job, "d"), "d"))
         extra = {}
     else:
         raise ParseError("unknown reduce kind: %r" % kind)
@@ -258,16 +289,20 @@ def _run_dims(job):
 def _run_gitweight(job):
     dims_doc = _need(job, "dims")
     data_doc = _need(job, "data")
+
+    def q(doc, key):
+        return parse_rational(_field(doc, key))
+
+    def qs(doc, key):
+        return _rationals(_field(doc, key), key)
+
     dims = reductions.GitDims(
-        parse_rational(dims_doc["dimV"]), parse_rational(dims_doc["dimVp"]),
-        parse_rational(dims_doc["dim_alpha_VW"]), parse_rational(dims_doc["dim_alpha_VpW"]),
-        tuple(parse_rational(x) for x in dims_doc["dim_alpha_i_V"]),
-        tuple(parse_rational(x) for x in dims_doc["dim_V_i"]))
+        q(dims_doc, "dimV"), q(dims_doc, "dimVp"),
+        q(dims_doc, "dim_alpha_VW"), q(dims_doc, "dim_alpha_VpW"),
+        qs(dims_doc, "dim_alpha_i_V"), qs(dims_doc, "dim_V_i"))
     data = reductions.GitData(
-        parse_rational(data_doc["h_m"]),
-        tuple(parse_rational(x) for x in data_doc["h_i_m"]),
-        tuple(parse_rational(x) for x in data_doc["eps_i"]),
-        parse_rational(data_doc["a1"]), parse_rational(data_doc["n"]))
+        q(data_doc, "h_m"), qs(data_doc, "h_i_m"), qs(data_doc, "eps_i"),
+        q(data_doc, "a1"), q(data_doc, "n"))
     value = reductions.git_weight(dims, data)
     return _emit(job, {"weight": fmt_rational(value)}, [[fmt_rational(value)]])
 
@@ -355,8 +390,11 @@ def _read_doc(value):
         return None
     text = value
     if not value.lstrip().startswith(("{", "[")):
-        with open(value) as fh:
-            text = fh.read()
+        try:
+            with open(value, encoding="utf-8") as fh:
+                text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError("%s is not UTF-8 text: %s" % (value, exc)) from exc
     return loads(text)
 
 
@@ -375,14 +413,21 @@ def build_parser():
         p.add_argument("--samples", type=int, default=200)
         p.add_argument("--selftest", action="store_true")
         if name == "partition":
-            p.add_argument("--r", type=int, default=1, help="Hecke order (odd)")
+            p.add_argument("--r", type=int, default=None,
+                           help="Hecke order (odd); default: r from --in, else 1")
         if name == "reduce":
             p.add_argument("--kind", choices=("rank-one", "enriques", "elliptic-jacobian"))
     return parser
 
 
+_parser = None
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         surface = _read_doc(args.surface)
         inputs = _read_doc(args.inputs)

@@ -21,7 +21,29 @@ from .transforms import (EllipticRelativeParams, IsotropicContext, compose,
                          identity_map, isotropic_fm_map, twist_map)
 
 
+# Largest accepted numerator or denominator, in decimal digits.  Bigger
+# inputs are refused before the number is built: "1e9999" alone would be a
+# 33,216-bit integer that slows every later operation.
+MAX_DIGITS = 1000
+_INT_LIMIT = 10 ** MAX_DIGITS
+
+
+def _oversized(x):
+    if isinstance(x, int):
+        return not -_INT_LIMIT < x < _INT_LIMIT
+    body, _, exp = x.strip().lower().partition("e")
+    exp = exp.lstrip("+-").replace("_", "").lstrip("0")
+    if not exp.isdecimal():
+        exp = ""       # no exponent, or a malformed one Fraction rejects
+    elif len(exp) > 6:
+        return True
+    digits = max(sum(ch.isdigit() for ch in part) for part in body.split("/"))
+    return digits + int(exp or 0) > MAX_DIGITS
+
+
 def parse_rational(x):
+    if isinstance(x, (int, str)) and _oversized(x):
+        raise ParseError("rational-too-large: %.40r" % (x,))
     try:
         if isinstance(x, (int, str)):
             q = rat(x)
@@ -197,5 +219,6 @@ def parse_box(doc, rank):
 def loads(text):
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError and over-long integer literals
         raise ParseError("invalid JSON: %s" % exc) from exc

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from operator import add, mul, sub
 
 from .errors import LatticeMismatchError, PreconditionError
 
@@ -40,6 +41,39 @@ def _gcd_many(values):
     return g
 
 
+def _common_denominator(coords):
+    """(integer numerators, positive denominator) of int/Fraction coordinates,
+    over the least common denominator, so the pair is already in lowest terms."""
+    den = 1
+    for x in coords:
+        d = x.denominator
+        if d != 1:
+            den = lcm(den, d)
+    if den == 1:
+        return tuple(x.numerator for x in coords), 1
+    return tuple(x.numerator * (den // x.denominator) for x in coords), den
+
+
+# The integer kernel: every pairing, functional and Gram product in the
+# package goes through these two on the sparse rows of one NSLattice.
+
+
+def _gram_mul(rows, x):
+    """G x for an integer tuple x, G given by its sparse rows of (j, g_ij)."""
+    out = []
+    for row in rows:
+        s = 0
+        for j, g in row:
+            s += g * x[j]
+        out.append(s)
+    return out
+
+
+def _form(rows, a, b):
+    """The integer bilinear form a^T G b."""
+    return sum(map(mul, a, _gram_mul(rows, b)))
+
+
 @dataclass(frozen=True)
 class NSLattice:
     """A free Z-module with a symmetric integer intersection form."""
@@ -60,63 +94,141 @@ class NSLattice:
             for j in range(n):
                 if gram[i][j] != gram[j][i]:
                     raise PreconditionError("gram-not-symmetric")
+        object.__setattr__(self, "_rows", tuple(
+            tuple((j, g) for j, g in enumerate(row) if g) for row in gram))
 
     @property
     def rank(self):
         return len(self.gram)
 
     def cls(self, coords):
-        return NSClass(self, tuple(rat(x) for x in coords))
+        return NSClass(self, coords)
 
     def zero(self):
-        return self.cls([0] * self.rank)
+        return _ns_class(self, (0,) * self.rank, 1)
 
     def basis_class(self, i):
-        return self.cls([1 if j == i else 0 for j in range(self.rank)])
+        return _ns_class(self, tuple(1 if j == i else 0 for j in range(self.rank)), 1)
 
     def named(self, name):
         return self.basis_class(self.basis_names.index(name))
 
+    def gram_mul(self, x):
+        """G x for an integer coordinate tuple x, as a list of integers."""
+        return _gram_mul(self._rows, x)
+
     def pair_coords(self, a, b):
-        total = Fraction(0)
-        for i, ai in enumerate(a):
-            if not ai:
-                continue
-            row = self.gram[i]
-            total += ai * sum(row[j] * bj for j, bj in enumerate(b) if bj)
-        return total
+        """(a . b) for int or Fraction coordinate tuples, as a Fraction."""
+        an, ad = _common_denominator(a)
+        bn, bd = _common_denominator(b)
+        return Fraction(_form(self._rows, an, bn), ad * bd)
 
 
-@dataclass(frozen=True)
+_set = object.__setattr__
+
+
+def _ns_class(lattice, num, den):
+    """NSClass from numerators already in lowest terms over den > 0."""
+    c = object.__new__(NSClass)
+    _set(c, "lattice", lattice)
+    _set(c, "num", num)
+    _set(c, "den", den)
+    return c
+
+
+def _reduced(lattice, num, den):
+    """NSClass from integer numerators over any positive denominator."""
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            num = tuple(x // g for x in num)
+            den //= g
+    return _ns_class(lattice, num, den)
+
+
 class NSClass:
-    """A rational divisor class in a fixed NS lattice basis."""
+    """A rational divisor class in a fixed NS lattice basis.
 
-    lattice: NSLattice
-    coords: tuple
+    The class is ``num / den``: a tuple of integer numerators over one
+    positive denominator with gcd(den, *num) = 1 (so the zero class has
+    den 1).  The form is canonical, so equality and hashing agree with
+    equality of the rational coordinates.  ``coords`` is the read-only
+    Fraction tuple, built on first use.  Instances are immutable.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "coords", tuple(rat(x) for x in self.coords))
-        if len(self.coords) != self.lattice.rank:
-            raise PreconditionError("coords-length", "expected rank %d" % self.lattice.rank)
+    __slots__ = ("lattice", "num", "den", "_coords")
+
+    def __init__(self, lattice, coords):
+        num, den = _common_denominator(tuple(rat(x) for x in coords))
+        if len(num) != lattice.rank:
+            raise PreconditionError("coords-length", "expected rank %d" % lattice.rank)
+        _set(self, "lattice", lattice)
+        _set(self, "num", num)
+        _set(self, "den", den)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("NSClass is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("NSClass is immutable")
+
+    def __reduce__(self):
+        return _ns_class, (self.lattice, self.num, self.den)
+
+    @property
+    def coords(self):
+        try:
+            return self._coords
+        except AttributeError:
+            den = self.den
+            coords = tuple(Fraction(x, den) for x in self.num)
+            _set(self, "_coords", coords)
+            return coords
+
+    def __repr__(self):
+        return "NSClass(lattice=%r, coords=%r)" % (self.lattice, self.coords)
+
+    def __eq__(self, other):
+        if other.__class__ is not NSClass:
+            return NotImplemented
+        return (self.num == other.num and self.den == other.den
+                and (self.lattice is other.lattice or self.lattice == other.lattice))
+
+    def __hash__(self):
+        return hash((self.num, self.den))
 
     def _check(self, other):
-        if self.lattice != other.lattice:
+        if self.lattice is not other.lattice and self.lattice != other.lattice:
             raise LatticeMismatchError()
 
     def __add__(self, other):
         self._check(other)
-        return NSClass(self.lattice, tuple(a + b for a, b in zip(self.coords, other.coords)))
+        a, b = self.den, other.den
+        if a == b:
+            return _reduced(self.lattice, tuple(map(add, self.num, other.num)), a)
+        return _reduced(self.lattice, tuple(x * b + y * a for x, y in zip(self.num, other.num)),
+                        a * b)
 
     def __sub__(self, other):
         self._check(other)
-        return NSClass(self.lattice, tuple(a - b for a, b in zip(self.coords, other.coords)))
+        a, b = self.den, other.den
+        if a == b:
+            return _reduced(self.lattice, tuple(map(sub, self.num, other.num)), a)
+        return _reduced(self.lattice, tuple(x * b - y * a for x, y in zip(self.num, other.num)),
+                        a * b)
 
     def __neg__(self):
-        return NSClass(self.lattice, tuple(-a for a in self.coords))
+        return _ns_class(self.lattice, tuple(-x for x in self.num), self.den)
 
     def scale(self, k):
-        k = rat(k)
-        return NSClass(self.lattice, tuple(k * a for a in self.coords))
+        if type(k) is int:
+            p, q = k, 1
+        else:
+            k = rat(k)
+            p, q = k.numerator, k.denominator
+        if p == 0:
+            return _ns_class(self.lattice, (0,) * len(self.num), 1)
+        return _reduced(self.lattice, tuple(x * p for x in self.num), self.den * q)
 
     __mul__ = scale
     __rmul__ = scale
@@ -124,27 +236,27 @@ class NSClass:
     def dot(self, other):
         """Intersection pairing (self . other) under the Gram form."""
         self._check(other)
-        return self.lattice.pair_coords(self.coords, other.coords)
+        return Fraction(_form(self.lattice._rows, self.num, other.num), self.den * other.den)
 
     def self_intersection(self):
         return self.dot(self)
 
     def is_zero(self):
-        return all(a == 0 for a in self.coords)
+        return not any(self.num)
 
     def is_integral(self):
-        return all(a.denominator == 1 for a in self.coords)
+        return self.den == 1
 
     def content(self):
         """gcd of the (integral) coordinates; 0 for the zero class."""
-        if not self.is_integral():
+        if self.den != 1:
             raise PreconditionError("non-integral-class")
-        return _gcd_many(a.numerator for a in self.coords)
+        return _gcd_many(self.num)
 
     def int_coords(self):
-        if not self.is_integral():
+        if self.den != 1:
             raise PreconditionError("non-integral-class")
-        return tuple(a.numerator for a in self.coords)
+        return self.num
 
 
 # ---------------------------------------------------------------------------
@@ -394,8 +506,7 @@ class MukaiVector:
         object.__setattr__(self, "t", rat(self.t))
 
     def _check(self, other):
-        if self.c.lattice != other.c.lattice:
-            raise LatticeMismatchError()
+        self.c._check(other.c)
 
     def __add__(self, other):
         self._check(other)
@@ -438,7 +549,14 @@ class GammaTriple:
 def mukai_pair(v, w):
     """<v, w> = (c_v . c_w) - r_v t_w - t_v r_w.  Symmetric and bilinear."""
     v._check(w)
-    return v.c.dot(w.c) - v.r * w.t - v.t * w.r
+    c, d = v.c, w.c
+    rv, tv, rw, tw = v.r, v.t, w.r, w.t
+    q1 = rv.denominator * tw.denominator
+    q2 = tv.denominator * rw.denominator
+    q = c.den * d.den
+    num = (_form(c.lattice._rows, c.num, d.num) * q1 * q2
+           - (rv.numerator * tw.numerator * q2 + tv.numerator * rw.numerator * q1) * q)
+    return Fraction(num, q * q1 * q2)
 
 
 def mukai_square(v):
@@ -483,18 +601,11 @@ def integral_coordinates(v, m):
     integral lattice consists of (r, c, t) with 2t = r (mod 2), and
     (r, c, t - r/2) is a free coordinate system for it.
     """
-    coords = [v.r, *v.c.coords]
-    if m.half_integral:
-        coords.append(v.t - v.r / 2)
-    else:
-        coords.append(v.t)
-    out = []
-    for x in coords:
-        if x.denominator != 1:
-            raise PreconditionError("non-integral-vector",
-                                    "vector is not in the integral Mukai lattice")
-        out.append(x.numerator)
-    return tuple(out)
+    t = v.t - v.r / 2 if m.half_integral else v.t
+    if v.r.denominator != 1 or v.c.den != 1 or t.denominator != 1:
+        raise PreconditionError("non-integral-vector",
+                                "vector is not in the integral Mukai lattice")
+    return (v.r.numerator, *v.c.num, t.numerator)
 
 
 def vector_stats(v, m):

@@ -134,7 +134,7 @@ def reduce_to_rank_one(l, r, c1, a, m):
     lam2 = max(lam2, 0)
     b2 = l * r + lam2
     k2 = l * l * k + b * lam2
-    v3 = target.vector(b, emkf(k2).coords, -b2)
+    v3 = target.vector(b, emkf(k2), -b2)
     trace.record("deform", {"lambda'": lam2, "b'": b2, "k'": k2}, v2, v3,
                  _vector_invariants(v3, target))
 
@@ -145,7 +145,7 @@ def reduce_to_rank_one(l, r, c1, a, m):
 
     # deform to omega-coefficient -1: k'' = l r (1 - b) + l^2 k + lambda'
     k3 = l * r * (1 - b) + l * l * k + lam2
-    v5 = target.vector(b2, (-emkf(k3)).coords, -1)
+    v5 = target.vector(b2, -emkf(k3), -1)
     trace.record("deform", {"k''": k3}, v4, v5, _vector_invariants(v5, target))
 
     swap3 = cor_ext_map(target, k3)
@@ -207,7 +207,7 @@ def _solve_pairing(lat, c, target):
     primitive c on a unimodular lattice.
     """
     n = lat.rank
-    w = [sum(lat.gram[i][j] * c[j] for j in range(n)) for i in range(n)]
+    w = lat.gram_mul(c)
     # multi-extended-gcd over the functional coefficients
     coeffs = [0] * n
     g = 0
@@ -245,7 +245,7 @@ def _e8_embed(m, e8_coords):
 
 
 def _e8_part(c):
-    return tuple(x.numerator for x in c.coords[2:])
+    return c.int_coords()[2:]
 
 
 def _s_param(v):

@@ -194,8 +194,7 @@ def _perp_basis(H):
     """A rational basis of the orthogonal complement of H in NS tensor Q."""
     lat = H.lattice
     n = lat.rank
-    w = [lat.pair_coords(H.coords, tuple(1 if j == i else 0 for j in range(n)))
-         for i in range(n)]
+    w = lat.gram_mul(H.num)          # (H . e_i), up to the factor 1/H.den
     piv = next((i for i, x in enumerate(w) if x != 0), None)
     if piv is None:
         return [lat.basis_class(i) for i in range(n)]
@@ -203,9 +202,9 @@ def _perp_basis(H):
     for i in range(n):
         if i == piv:
             continue
-        coords = [Fraction(0)] * n
-        coords[i] = Fraction(1)
-        coords[piv] = -w[i] / w[piv]
+        coords = [0] * n
+        coords[i] = 1
+        coords[piv] = Fraction(-w[i], w[piv])
         out.append(lat.cls(coords))
     return out
 

@@ -17,9 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor, gcd, isqrt
+from operator import mul
 
 from .errors import PreconditionError
-from .lattice import (MukaiVector, NSClass, chi_of, rat, twist)
+from .lattice import (MukaiVector, NSClass, _gcd_many, _ns_class, chi_of, rat,
+                      twist)
 
 
 @dataclass(frozen=True)
@@ -92,38 +94,21 @@ class Wall:
     n: int
 
     def value(self, alpha):
-        return sum(c * x for c, x in zip(self.normal, alpha.coords)) - self.offset
+        return Fraction(self._scaled_value(alpha), alpha.den)
+
+    def _scaled_value(self, alpha):
+        """alpha.den * value(alpha): an integer with the sign of the value."""
+        return sum(map(mul, self.normal, alpha.num)) - self.offset * alpha.den
 
     def hyperplane(self):
         return (self.normal, self.offset)
 
 
-def _normalize_functional(coeffs, offset):
-    denoms = [c.denominator for c in coeffs] + [offset.denominator]
-    lcm = 1
-    for d in denoms:
-        lcm = lcm * d // gcd(lcm, d)
-    ints = [int(c * lcm) for c in coeffs]
-    off = int(offset * lcm)
-    g = 0
-    for x in ints + [off]:
-        g = gcd(g, abs(x))
-    if g:
-        ints = [x // g for x in ints]
-        off = off // g
-    lead = next((x for x in ints if x != 0), 0)
-    if lead < 0:
-        ints = [-x for x in ints]
-        off = -off
-    return tuple(ints), off
-
-
 def wall_functional(xi, D, H):
-    """Coordinates of alpha -> (D,alpha)(xi,H) - (xi,alpha)(D,H)."""
-    lat = xi.lattice
+    """(F, d) with alpha -> (D,alpha)(xi,H) - (xi,alpha)(D,H) equal to
+    (F . alpha) / d: integer coefficients F and a positive integer d."""
     w = D.scale(xi.dot(H)) - xi.scale(D.dot(H))
-    return tuple(lat.pair_coords(w.coords, tuple(1 if j == i else 0 for j in range(lat.rank)))
-                 for i in range(lat.rank))
+    return w.lattice.gram_mul(w.num), w.den
 
 
 def effective_decompositions(m, xi):
@@ -155,7 +140,7 @@ def effective_decompositions(m, xi):
     out = []
     def rec(i, coords):
         if i == lat.rank:
-            D = lat.cls(coords)
+            D = _ns_class(lat, tuple(coords), 1)
             if D.is_zero() or D == xi:
                 return
             if m.effective(D) and m.effective(xi - D):
@@ -197,29 +182,40 @@ def walls_dim1(g, H, box, m):
         raise PreconditionError("degree-not-positive", "(xi, H) must be > 0")
     walls = []
     for D in effective_decompositions(m, xi):
-        coeffs = wall_functional(xi, D, H)
-        if all(c == 0 for c in coeffs):
+        F, d = wall_functional(xi, D, H)
+        content = _gcd_many(F)
+        if content == 0:
             # D proportional to xi (or in the radical): excluded data
             continue
         DH = D.dot(H)
-        lo, hi = _box_extremes(coeffs, box)
-        # wall equation: functional(alpha) = n*(xi,H) - chi*(D,H)
-        n_lo = ceil((lo + chi * DH) / xiH)
-        n_hi = floor((hi + chi * DH) / xiH)
+        lo, hi = _box_extremes(F, box)
+        # wall equation: (F . alpha) / d = n*(xi,H) - chi*(D,H)
+        n_lo = ceil((lo / d + chi * DH) / xiH)
+        n_hi = floor((hi / d + chi * DH) / xiH)
+        # normal0 = +-F/content with positive leading entry, so the wall is
+        # normal0 . alpha = A*n + B; clearing the denominator of A*n + B
+        # gives each wall's coprime (normal, offset)
+        sign = 1 if next(x for x in F if x) > 0 else -1
+        normal0 = tuple(sign * x // content for x in F)
+        scale = Fraction(sign * d, content)
+        A, B = scale * xiH, -scale * chi * DH
+        an, ad, bn, bd = A.numerator, A.denominator, B.numerator, B.denominator
         for n in range(n_lo, n_hi + 1):
-            normal, off = _normalize_functional([rat(c) for c in coeffs],
-                                                n * xiH - chi * DH)
-            walls.append(Wall(normal, off, D, n))
-    walls.sort(key=lambda w: (w.normal, w.offset, w.D.coords, w.n))
+            p, q = an * n * bd + bn * ad, ad * bd
+            k = gcd(p, q)
+            q //= k
+            walls.append(Wall(tuple(q * x for x in normal0), p // k, D, n))
+    # D is integral, so its numerators order walls as its coordinates do
+    walls.sort(key=lambda w: (w.normal, w.offset, w.D.num, w.n))
     return walls
 
 
 def unique_hyperplanes(walls):
-    seen = []
+    """The first wall of each distinct hyperplane, in input order."""
+    seen = {}
     for w in walls:
-        if w.hyperplane() not in [x.hyperplane() for x in seen]:
-            seen.append(w)
-    return seen
+        seen.setdefault(w.hyperplane(), w)
+    return list(seen.values())
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +235,7 @@ class OnWall:
 
 def chamber_locate(alpha, walls):
     """Sign vector of alpha against every wall, or OnWall with the indices hit."""
-    values = [w.value(alpha) for w in walls]
+    values = [w._scaled_value(alpha) for w in walls]
     hits = tuple(i for i, x in enumerate(values) if x == 0)
     if hits:
         return OnWall(hits)
@@ -262,14 +258,20 @@ def chamber_path(alpha, alpha2, walls):
         if isinstance(chamber_locate(pt, walls), OnWall):
             raise PreconditionError("endpoint-on-wall", "%s point lies on a wall" % name)
     direction = alpha2 - alpha
+    # t = -value(alpha) / (normal . direction), kept as the integer ratio
+    # p / q until a crossing is found
+    d_num, d_den, a_den = direction.num, direction.den, alpha.den
     crossings = []
     for i, w in enumerate(walls):
-        denom = sum(c * x for c, x in zip(w.normal, direction.coords))
-        if denom == 0:
+        slope = sum(map(mul, w.normal, d_num))
+        if slope == 0:
             continue
-        t = -w.value(alpha) / denom
-        if 0 < t < 1:
-            crossings.append(Crossing(t, i, w))
+        p = -w._scaled_value(alpha) * d_den
+        q = slope * a_den
+        if q < 0:
+            p, q = -p, -q
+        if 0 < p < q:
+            crossings.append(Crossing(Fraction(p, q), i, w))
     crossings.sort(key=lambda c: (c.t, c.index))
     return crossings
 

@@ -108,3 +108,18 @@ def brute_force_walls(g, H, box, m):
                     ints = [-x for x in ints]
                 out.add(((u, w), n, tuple(ints[:-1]), ints[-1]))
     return out
+
+
+def fraction_pair(gram, a, b):
+    """(a . b) summed entry by entry over the Gram matrix in Fractions."""
+    return sum((F(a[i]) * gram[i][j] * F(b[j])
+                for i in range(len(gram)) for j in range(len(gram))), F(0))
+
+
+def quadratic_unique_hyperplanes(walls):
+    """First wall of each hyperplane, by a linear scan of the kept list."""
+    seen = []
+    for w in walls:
+        if w.hyperplane() not in [x.hyperplane() for x in seen]:
+            seen.append(w)
+    return seen

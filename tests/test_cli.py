@@ -134,3 +134,76 @@ def test_reduce_rank_one_subcommand():
     doc = json.loads(out)
     assert doc["final"]["r"] == "1"
     assert len({step["square"] for step in doc["steps"]}) == 1
+
+
+# --- front-end faults: each input exits 0 or 2, never with a traceback -----
+
+
+def test_partition_reads_r_from_inputs(capsys):
+    assert main(["partition", "--order", "3", "--in", '{"r": 3}']) == 0
+    assert json.loads(capsys.readouterr().out)["r"] == 3
+    assert main(["partition", "--order", "3", "--r", "1", "--in", '{"r": 3}']) == 0
+    assert json.loads(capsys.readouterr().out)["r"] == 1
+    assert main(["partition", "--order", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["r"] == 1
+
+
+@pytest.mark.parametrize("argv,missing", [
+    (["gitweight", "--in", json.dumps({
+        "dims": {"dimV": 6, "dimVp": 2, "dim_alpha_VW": 30, "dim_alpha_VpW": 10,
+                 "dim_alpha_i_V": [3]},
+        "data": {"h_m": 6, "h_i_m": [3], "eps_i": ["1/2"], "a1": 2, "n": 2}})], "dim_V_i"),
+    (["gitweight", "--in", '{"dims": {}, "data": {}}'], "dimV"),
+    (["epoly", "--in", '{"base": {"terms": []}, "strata": [{"factors": []}]}'], "pairings"),
+    (["epoly", "--in", '{"base": {"terms": []}, "strata": [{"pairings": [[0]]}]}'], "factors"),
+])
+def test_missing_nested_field_is_parse_error(capsys, argv, missing):
+    assert main(argv) == 2
+    assert capsys.readouterr().out.strip() == "parse error: missing input field: %r" % missing
+
+
+def test_non_utf8_file_is_parse_error(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff{}")
+    assert main(["dims", "--surface", str(bad), "--in", "{}"]) == 2
+    assert main(["dims", "--surface", json.dumps(K3U), "--in", str(bad)]) == 2
+    assert "not UTF-8" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["1e9999", "1e-9999", "1/" + "7" * 1001, 10 ** 1001])
+def test_oversized_rational_is_parse_error(capsys, value):
+    doc = {"v": {"r": value, "c": [0, 0], "t": 1}, "w": {"r": 1, "c": [0, 0], "t": 0}}
+    assert main(["pair", "--surface", json.dumps(K3U), "--in", json.dumps(doc)]) == 2
+    assert "rational-too-large" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["reduce", "--kind", "elliptic-jacobian", "--in", '{"r": "x", "d": 2}'],
+    ["partition", "--in", '{"r": [3]}'],
+    ["pair", "--surface", json.dumps(K3U), "--in", "[1]"],
+    ["epoly", "--in", '{"base": {"terms": []}, "strata": 5}'],
+    ["gitweight", "--in", '{"dims": [], "data": {}}'],
+    ["pair", "--surface", json.dumps(K3U), "--in", '{"v": %s}' % ("1" * 5000)],
+    ["pair", "--surface", json.dumps(K3U), "--in", "[" * 100000],
+])
+def test_malformed_inputs_are_parse_errors(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert (captured.out + captured.err).startswith("parse error: ")
+
+
+def test_readme_walls_example_runs(capsys):
+    assert main(["walls", "--surface", json.dumps(ELLIPTIC), "--box=-2,2;-2,2",
+                 "--format", "tsv", "--in",
+                 '{"gamma":{"rank":0,"c":[1,2],"chi":1},"H":[1,3]}']) == 0
+    assert "0,1\t0\t3,-1\t-1" in capsys.readouterr().out.splitlines()
+
+
+def test_repeated_main_calls_reuse_parser(capsys):
+    pair = ["pair", "--surface", json.dumps(K3U), "--in",
+            '{"v": {"r": 0, "c": [0, 0], "t": 1}, "w": {"r": 1, "c": [0, 0], "t": 0}}']
+    outs = []
+    for argv in (pair, ["partition", "--order", "2", "--r", "3"], pair):
+        assert main(argv) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[2] and json.loads(outs[1])["r"] == 3

@@ -1,11 +1,16 @@
+import pickle
 from fractions import Fraction as F
 
 import pytest
 
-from mukailab import (LatticeMismatchError, PreconditionError, chi_of, dual,
-                      exp_class, gamma_of, k3_model, mukai_mul, mukai_pair,
-                      mukai_square, twist, vector_of_gamma, vector_stats)
+from mukailab import (LatticeMismatchError, NSLattice, PreconditionError,
+                      chi_of, dual, elliptic_model, enriques_lattice,
+                      exp_class, gamma_of, hyperbolic_lattice, k3_model,
+                      mukai_mul, mukai_pair, mukai_square, twist,
+                      vector_of_gamma, vector_stats)
 from mukailab.lattice import random_mukai_vector, random_ns_class
+
+from helpers import fraction_pair
 
 
 def pair_oracle(v, w):
@@ -166,3 +171,54 @@ def test_gamma_of_examples(k3_u):
     assert gamma_of(v, k3_u).chi == -2
     for vec in (v, k3_u.vector(2, (1, 1), F(1, 2))):
         assert vector_of_gamma(gamma_of(vec, k3_u), k3_u) == vec
+
+
+# --- integer core against the Fraction oracle ------------------------------
+
+
+RANK3 = NSLattice(((-1, 1, 0), (1, 0, 2), (0, 2, -2)), ("s", "f", "e"))
+
+
+@pytest.mark.parametrize("lat", [hyperbolic_lattice(), elliptic_model().ns, RANK3,
+                                 enriques_lattice()], ids=["U", "elliptic", "rank3", "enriques"])
+def test_dot_and_pair_coords_match_fraction_gram_sum(lat, rng):
+    for _ in range(300):
+        a = random_ns_class(lat, rng)
+        b = random_ns_class(lat, rng)
+        want = fraction_pair(lat.gram, a.coords, b.coords)
+        assert a.dot(b) == b.dot(a) == want
+        assert lat.pair_coords(a.coords, b.coords) == want
+        ints = [rng.randint(-9, 9) for _ in range(lat.rank)]
+        mixed = [x if i % 2 else F(x, 3) for i, x in enumerate(ints)]
+        assert lat.pair_coords(ints, mixed) == fraction_pair(lat.gram, ints, mixed)
+        k = F(rng.randint(-5, 5), rng.randint(1, 4))
+        assert (a + b.scale(k)).coords == tuple(x + k * y for x, y in zip(a.coords, b.coords))
+        assert (a - b).coords == tuple(x - y for x, y in zip(a.coords, b.coords))
+
+
+def test_class_canonical_form(k3_u):
+    lat = k3_u.ns
+    half = lat.cls((F(1, 2), 1))
+    same = lat.cls((F(2, 4), 1))
+    assert half == same and hash(half) == hash(same)
+    assert (half.num, half.den) == ((1, 2), 2)
+    assert half.coords == (F(1, 2), F(1))
+    assert (half + half) == lat.cls((1, 2)) and (half + half).den == 1
+    zero = half - same
+    assert zero == lat.zero() and zero.num == (0, 0) and zero.den == 1
+    assert half.scale(0) == lat.zero() and half.scale(0).den == 1
+    assert half.scale(F(4, 3)) == lat.cls((F(2, 3), F(4, 3)))
+    assert -half == lat.cls((F(-1, 2), -1)) and (-half).den == 2
+    assert -(-half) == half and (-lat.zero()).den == 1
+    assert hash(lat.cls((3, 0))) == hash(lat.cls((F(6, 2), 0)))
+    with pytest.raises(AttributeError):
+        half.num = (0, 0)
+    assert pickle.loads(pickle.dumps(half)) == half
+
+
+def test_class_lattice_checks(k3_u, enriques):
+    with pytest.raises(LatticeMismatchError):
+        k3_u.ns.zero() + enriques.ns.zero()
+    with pytest.raises(PreconditionError):
+        k3_u.ns.cls((1, 2, 3))
+    assert k3_u.ns.zero() != hyperbolic_lattice(("a", "b")).zero()

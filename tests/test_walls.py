@@ -5,11 +5,11 @@ import pytest
 
 from mukailab import (Chamber, GammaTriple, OnWall, PreconditionError,
                       TwistData, chamber_locate, chamber_path, chi_of,
-                      slope_dim1, twisted_invariants, wall_solve_tf,
-                      walls_dim1)
+                      slope_dim1, twisted_invariants, unique_hyperplanes,
+                      wall_solve_tf, walls_dim1)
 from mukailab.lattice import random_mukai_vector
 
-from helpers import brute_force_walls, k3_with_perp
+from helpers import brute_force_walls, k3_with_perp, quadratic_unique_hyperplanes
 
 
 BOX = ((F(-2), F(2)), (F(-2), F(2)))
@@ -124,6 +124,15 @@ def test_walls_match_brute_force(elliptic):
 def test_walls_empty_for_primitive_fiber(elliptic):
     g = GammaTriple(0, elliptic.cls((0, 1)), 1)
     assert walls_dim1(g, elliptic.cls((1, 3)), BOX, elliptic) == []
+
+
+@pytest.mark.parametrize("xi,box", [((1, 2), BOX), ((4, 6), ((F(-3), F(3)), (F(-3), F(3))))])
+def test_unique_hyperplanes_matches_linear_scan(elliptic, xi, box):
+    walls = walls_dim1(GammaTriple(0, elliptic.cls(xi), 1), elliptic.cls((1, 3)), box, elliptic)
+    for order in (walls, walls[::-1]):
+        got = unique_hyperplanes(order)
+        assert got == quadratic_unique_hyperplanes(order)
+        assert len(got) < len(order)
 
 
 def test_walls_box_refinement(elliptic):
