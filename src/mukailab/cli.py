@@ -221,7 +221,8 @@ def _run_partition(job):
     lat = m.ns if m is not None else enriques_lattice()
     box = parse_box(job.box, lat.rank) if job.box is not None else \
         tuple((0, 0) for _ in range(lat.rank))
-    box = tuple((int(lo), int(hi)) for lo, hi in box)
+    if any(x.denominator != 1 for bounds in box for x in bounds):
+        raise ParseError("partition box bounds must be integers")
     terms = partition_mod.hecke_zr(r, lat, job.order, box)
     rows = []
     docs = []

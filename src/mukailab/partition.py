@@ -18,14 +18,21 @@ summation over b is the divisibility filter d | 2n-1+Q(xi^2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import PreconditionError
 from .lattice import mukai_square, rat, vector_stats
-from .series import euler_hilb, hecke_cosets
+from .series import euler_hilb
 
 ENRIQUES_EULER = 12
+
+# Largest work a partition-function call accepts: (box vectors + levels)
+# x levels, where levels - 1 is the highest Hilbert-scheme level a block
+# needs, covers the term loop and the O(levels^2) Euler numbers.  The
+# Hecke order r is bounded by the same number.
+MAX_PARTITION_WORK = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -47,26 +54,36 @@ class PartitionTerm:
     x_scale: int = 1
     phase: Fraction = Fraction(0)
 
-    def key(self):
-        return (self.xi, self.hol_scalar, self.pos_coef, self.neg_coef,
-                self.x_scale, self.phase)
-
 
 def q_form(lat, xi):
     """Q(xi^2) = -(xi . xi): positive definite on the 9-dimensional part."""
     return -lat.pair_coords(xi, xi)
 
 
+_ZERO = Fraction(0)
+
+
 def merge_terms(terms):
+    """Sum the coefficients of equal terms, drop zero sums and sort by
+    exponent.  Terms are keyed on the integer parts of their Fractions,
+    which hash far faster than the Fractions themselves."""
     acc = {}
     for t in terms:
-        if all(x == 0 for x in t.xi):
+        hol, ph = t.hol_scalar, t.phase
+        if any(t.xi):
+            pos, neg, xs = t.pos_coef, t.neg_coef, t.x_scale
+        else:
             # split tags and the elliptic scaling are vacuous on xi = 0
-            t = replace(t, pos_coef=Fraction(0), neg_coef=Fraction(0), x_scale=1)
-        acc[t.key()] = acc.get(t.key(), Fraction(0)) + t.coeff
-    out = [PartitionTerm(xi=xi, coeff=c, hol_scalar=hol, pos_coef=pos,
-                         neg_coef=neg, x_scale=xs, phase=ph)
-           for (xi, hol, pos, neg, xs, ph), c in acc.items() if c]
+            pos, neg, xs = _ZERO, _ZERO, 1
+        key = (t.xi, hol.numerator, hol.denominator, pos.numerator, pos.denominator,
+               neg.numerator, neg.denominator, xs, ph.numerator, ph.denominator)
+        slot = acc.get(key)
+        if slot is None:
+            acc[key] = [_ZERO + t.coeff, hol, pos, neg, xs, ph]
+        else:
+            slot[0] += t.coeff
+    out = [PartitionTerm(key[0], c, hol, pos, neg, xs, ph)
+           for key, (c, hol, pos, neg, xs, ph) in acc.items() if c]
     out.sort(key=lambda t: (t.hol_scalar, t.xi, t.pos_coef, t.x_scale, t.phase))
     return out
 
@@ -84,32 +101,77 @@ def lattice_box_vectors(lat, box):
     return out
 
 
+def _block_terms(lat, box, blocks, scale):
+    """Merged terms of the divisor blocks (a, d, n_max) over a lattice box:
+
+        scale d^2 chi(X^[n]) q^{(a/d)(n - 1/2)} (tags a/2d, -a/2d), x -> a x
+
+    for every box vector xi and every level n <= n_max of a block with
+    d | 2n - 1 + Q(xi^2): scale/2 times ``hecke_block_sum`` of
+    ``partition_z1``, summed over the blocks and merged.  Exponents are
+    integers over the one scale 2 lcm(d), so sorting the integer keys gives
+    the order of ``merge_terms``; Fractions are built once per distinct
+    exponent.  Refuses work above MAX_PARTITION_WORK before enumerating.
+    """
+    if not blocks:
+        return []
+    top = max(n for _, _, n in blocks)
+    if len(box) == lat.rank:
+        points = 1
+        for lo, hi in box:
+            points *= max(0, int(hi) - int(lo) + 1)
+        if (points + top + 1) * (top + 1) > MAX_PARTITION_WORK:
+            raise PreconditionError(
+                "partition-too-large",
+                "%d box vectors at %d levels exceed %d" % (points, top + 1, MAX_PARTITION_WORK))
+    vectors = lattice_box_vectors(lat, box)
+    euler = euler_hilb(ENRIQUES_EULER, top)
+    L = lcm(*(d for _, d, _ in blocks))
+    acc = {}
+    for xi in vectors:
+        qv = -sum(x * g for x, g in zip(xi, lat.gram_mul(xi)))      # Q(xi^2)
+        nonzero = any(xi)
+        for a, d, n_max in blocks:
+            m = a * (L // d)
+            pos, xs = (m, a) if nonzero else (0, 1)
+            for n in range(n_max + 1):
+                if (2 * n - 1 + qv) % d:
+                    continue
+                key = ((2 * n - 1) * m, xi, pos, xs)
+                acc[key] = acc.get(key, 0) + d * d * euler[n]
+    den = 2 * L
+    fracs = {}
+
+    def frac(k):
+        f = fracs.get(k)
+        if f is None:
+            f = fracs[k] = Fraction(k, den)
+        return f
+
+    num, sden = scale.numerator, scale.denominator
+    return [PartitionTerm(xi, Fraction(num * c, sden), frac(hol), frac(pos), frac(-pos),
+                          x_scale=xs)
+            for (hol, xi, pos, xs), c in sorted(acc.items())]
+
+
 def partition_z1(lat, n_max, box):
     """Term list of the rank-1 partition function over a lattice box.
 
     The overall factor 2 carried by every coefficient is the torsion
     contribution of the second cohomology.
     """
-    euler = euler_hilb(ENRIQUES_EULER, n_max)
-    terms = []
-    for xi in lattice_box_vectors(lat, box):
-        for n in range(n_max + 1):
-            terms.append(PartitionTerm(
-                xi=xi,
-                coeff=Fraction(2 * euler[n]),
-                hol_scalar=Fraction(2 * n - 1, 2),
-                pos_coef=Fraction(1, 2),
-                neg_coef=Fraction(-1, 2),
-            ))
-    return merge_terms(terms)
+    return _block_terms(lat, box, [(1, 1, n_max)], Fraction(2))
 
 
-def _phase_units(term, lat):
+def _phase_units(term, lat, q_memo):
     """2 * (holomorphic - antiholomorphic exponent): an exact integer."""
     if term.pos_coef != -term.neg_coef:
         raise PreconditionError("tagged-exponents",
                                 "terms must carry opposite split tags")
-    val = 2 * (term.hol_scalar + term.pos_coef * q_form(lat, term.xi))
+    qv = q_memo.get(term.xi)
+    if qv is None:
+        qv = q_memo[term.xi] = q_form(lat, term.xi)
+    val = 2 * (term.hol_scalar + term.pos_coef * qv)
     if val.denominator != 1:
         raise PreconditionError("non-integral-phase")
     return val.numerator
@@ -123,9 +185,10 @@ def hecke_coset_transform(terms, coset, lat):
     """
     a, b, d = coset
     scale = Fraction(a, d)
+    q_memo = {}
     out = []
     for t in terms:
-        units = _phase_units(t, lat)
+        units = _phase_units(t, lat, q_memo)
         phase = (t.phase + Fraction(b * units, d)) % 1
         out.append(PartitionTerm(t.xi, t.coeff, scale * t.hol_scalar,
                                  scale * t.pos_coef, scale * t.neg_coef,
@@ -138,9 +201,10 @@ def hecke_block_sum(terms, a, d, lat):
     evaluated exactly: a term survives iff d divides its doubled exponent,
     contributing an extra factor d."""
     scale = Fraction(a, d)
+    q_memo = {}
     out = []
     for t in terms:
-        units = _phase_units(t, lat)
+        units = _phase_units(t, lat, q_memo)
         if t.phase != 0:
             raise PreconditionError("phase-collision",
                                     "block sum expects untransformed input terms")
@@ -164,20 +228,19 @@ def hecke_zr(r, lat, order, box):
     """
     if r < 1 or r % 2 == 0:
         raise PreconditionError("even-r")
+    if r > MAX_PARTITION_WORK:
+        raise PreconditionError("partition-too-large",
+                                "Hecke order %d exceeds %d" % (r, MAX_PARTITION_WORK))
     order = rat(order)
     blocks = []
-    seen = set()
-    for a, b, d in hecke_cosets(r):
-        if (a, d) in seen:
+    for d in range(1, r + 1):
+        if r % d:
             continue
-        seen.add((a, d))
+        a = r // d
         n_block = (order * d / a) + Fraction(1, 2)
-        if n_block < 0:
-            continue
-        z1 = partition_z1(lat, int(n_block), box)
-        blocks.extend(hecke_block_sum(z1, a, d, lat))
-    inv = Fraction(1, r * r)
-    return merge_terms([replace(t, coeff=t.coeff * inv) for t in blocks])
+        if n_block >= 0:
+            blocks.append((a, d, int(n_block)))
+    return _block_terms(lat, box, blocks, Fraction(2, r * r))
 
 
 def rank_side_terms(d, a, lat, n_max, box):
@@ -187,24 +250,9 @@ def rank_side_terms(d, a, lat, n_max, box):
         d^2 chi(X^[(..w..^2+1)/2]) q^{(a/2d) <w^2>} (tagged split pieces),
 
     where k runs over the integers with k d = 2n - 1 + Q(xi^2), n <= n_max.
+    <w^2> = 2n - 1 for w = (d, xi, -k/2), so this is the block (a, d).
     """
-    euler = euler_hilb(ENRIQUES_EULER, n_max)
-    out = []
-    for xi in lattice_box_vectors(lat, box):
-        qv = q_form(lat, xi)
-        for n in range(n_max + 1):
-            if (2 * n - 1 + qv) % d:
-                continue
-            # <w^2> = 2n - 1 for w = (d, xi, -k/2); exponent (a/2d)<w^2>
-            out.append(PartitionTerm(
-                xi=xi,
-                coeff=Fraction(d * d * euler[n]),
-                hol_scalar=Fraction(a * (2 * n - 1), 2 * d),
-                pos_coef=Fraction(a, 2 * d),
-                neg_coef=Fraction(-a, 2 * d),
-                x_scale=a,
-            ))
-    return merge_terms(out)
+    return _block_terms(lat, box, [(a, d, n_max)], Fraction(1))
 
 
 def multiplicity_chi(v, m, per_determinant=False):

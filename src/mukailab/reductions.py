@@ -65,9 +65,15 @@ _enriques_hilb_cache = []
 
 
 def _enriques_hilb(n):
-    """e(X^[n]) for the default Enriques Hodge polynomial, cached."""
+    """e(X^[n]) for the default Enriques Hodge polynomial.
+
+    The series is cached in a module-level list that at least doubles
+    each time n passes its end, so growing n costs O(log n) refills.
+    The cache is global mutable state and is not thread-safe.
+    """
     if n >= len(_enriques_hilb_cache):
-        _enriques_hilb_cache[:] = hilb_series(ENRIQUES_DEFAULT_HODGE, max(n, 8))
+        _enriques_hilb_cache[:] = hilb_series(
+            ENRIQUES_DEFAULT_HODGE, max(n, 2 * len(_enriques_hilb_cache), 8))
     return _enriques_hilb_cache[n]
 
 

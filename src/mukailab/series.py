@@ -10,13 +10,24 @@ the Hilbert-scheme generating series is the standard product
 
     sum_n e(X^[n]) z^n
         = prod_{m>=1} prod_{p,q} (1 - x^{p+m-1} y^{q+m-1} z^m)^{-(-1)^{p+q} h^{p,q}}.
+
+Both series are expanded by the recurrence of their logarithmic
+derivative, in O(N^2) products of integers or integer polynomials:
+
+    euler_hilb:  n a(n) = chi sum_{j=1}^n sigma(j) a(n-j),
+                 sigma(j) the sum of the divisors of j;
+    hilb_series: n e_n = sum_{j=1}^n b_j e_{n-j},
+                 b_j = sum_{mk=j} m sum_{p,q} c_pq (x^{p+m-1} y^{q+m-1})^k,
+                 c_pq = (-1)^{p+q} h^{p,q}.
+
+Every division is exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd
+from operator import index
 
 from .errors import PreconditionError
 from .lattice import rat
@@ -168,8 +179,7 @@ class LaurentPoly:
 class QSeries:
     """sum a_k q^{k/denom}, truncated: exponents above ``order`` are unknown.
 
-    Arithmetic tracks the truncation order and refuses to report
-    coefficients beyond it.
+    ``coefficient`` refuses to report coefficients beyond the truncation.
     """
 
     denom: int
@@ -200,34 +210,6 @@ class QSeries:
             return Fraction(0)
         return Fraction(min(self.coeffs), self.denom)
 
-    def __add__(self, other):
-        denom = self.denom * other.denom // gcd(self.denom, other.denom)
-        order = min(self.order, other.order)
-        out = {}
-        for s in (self, other):
-            m = denom // s.denom
-            for k, c in s.coeffs.items():
-                out[k * m] = out.get(k * m, Fraction(0)) + c
-        return QSeries(denom, out, order)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, str)):
-            c = rat(other)
-            return QSeries(self.denom, {k: c * v for k, v in self.coeffs.items()}, self.order)
-        denom = self.denom * other.denom // gcd(self.denom, other.denom)
-        order = min(self.order + other.min_exponent(),
-                    other.order + self.min_exponent())
-        out = {}
-        m1, m2 = denom // self.denom, denom // other.denom
-        for k1, c1 in self.coeffs.items():
-            for k2, c2 in other.coeffs.items():
-                k = k1 * m1 + k2 * m2
-                if Fraction(k, denom) <= order:
-                    out[k] = out.get(k, Fraction(0)) + c1 * c2
-        return QSeries(denom, out, order)
-
-    __rmul__ = __mul__
-
     def sorted_terms(self):
         return [(Fraction(k, self.denom), c) for k, c in sorted(self.coeffs.items())]
 
@@ -246,56 +228,59 @@ def e_gl(N):
     return out
 
 
-def _binomial_factor_coeffs(exponent, kmax):
-    """z-coefficients of (1 - u z)^exponent up to z^kmax (u symbolic)."""
-    out = []
-    for k in range(kmax + 1):
-        if exponent < 0:
-            out.append(Fraction(comb(-exponent + k - 1, k)))
-        else:
-            out.append(Fraction((-1) ** k * comb(exponent, k)) if k <= exponent else Fraction(0))
-    return out
+def _divisor_sums(n_max):
+    """[0, sigma(1), ..., sigma(n_max)] by a divisor sieve."""
+    sigma = [0] * (n_max + 1)
+    for m in range(1, n_max + 1):
+        for j in range(m, n_max + 1, m):
+            sigma[j] += m
+    return sigma
 
 
 def hilb_series(hodge_xy, n_max):
-    """[e(X^[0]), ..., e(X^[n_max])] from the surface Hodge polynomial."""
+    """[e(X^[0]), ..., e(X^[n_max])] from the surface Hodge polynomial.
+
+    With c_pq the coefficients of e(X), the log-derivative of the product
+    gives n e_n = sum_{j=1}^n b_j e_{n-j}, where
+    b_j = sum_{mk=j} m sum_{p,q} c_pq (x^{p+m-1} y^{q+m-1})^k.
+    """
+    if n_max < 0:
+        raise PreconditionError("negative-order")
     hodge = hodge_xy.hodge_numbers() if isinstance(hodge_xy, LaurentPoly) \
         else LaurentPoly.constant(hodge_xy).hodge_numbers()
-    series = [LaurentPoly.one()] + [LaurentPoly.zero() for _ in range(n_max)]
+    coeffs = [((p, q), (-1) ** (p + q) * h) for (p, q), h in hodge.items()]
+    b = [{} for _ in range(n_max + 1)]
     for m in range(1, n_max + 1):
-        for (p, q), h in sorted(hodge.items()):
-            if h == 0:
-                continue
-            exponent = -((-1) ** (p + q)) * h
-            u = LaurentPoly.monomial(p + m - 1, q + m - 1)
-            coeffs = _binomial_factor_coeffs(exponent, n_max // m)
-            new = [LaurentPoly.zero() for _ in range(n_max + 1)]
-            for n in range(n_max + 1):
-                if not series[n]:
+        for k in range(1, n_max // m + 1):
+            bj = b[m * k]
+            for (p, q), c in coeffs:
+                key = ((p + m - 1) * k, (q + m - 1) * k)
+                bj[key] = bj.get(key, 0) + m * c
+    series = [{(0, 0): 1}]
+    for n in range(1, n_max + 1):
+        acc = {}
+        for j in range(1, n + 1):
+            for (i1, j1), c1 in b[j].items():
+                if not c1:
                     continue
-                upow = LaurentPoly.one()
-                for k in range(0, (n_max - n) // m + 1):
-                    if coeffs[k]:
-                        new[n + k * m] += series[n] * upow * coeffs[k]
-                    upow = upow * u
-            series = new
-    return series
+                for (i2, j2), c2 in series[n - j].items():
+                    key = (i1 + i2, j1 + j2)
+                    acc[key] = acc.get(key, 0) + c1 * c2
+        series.append({key: c // n for key, c in acc.items() if c})
+    return [LaurentPoly(e) for e in series]
 
 
 def euler_hilb(chi_X, n_max):
-    """Integer coefficients of prod (1 - q^m)^{-chi_X} up to q^{n_max}."""
-    out = [0] * (n_max + 1)
-    out[0] = 1
-    for m in range(1, n_max + 1):
-        factors = _binomial_factor_coeffs(-chi_X, n_max // m)
-        new = [0] * (n_max + 1)
-        for n in range(n_max + 1):
-            if out[n] == 0:
-                continue
-            for k in range(0, (n_max - n) // m + 1):
-                new[n + k * m] += out[n] * factors[k]
-        out = new
-    return [int(x) for x in out]
+    """Integer coefficients of prod (1 - q^m)^{-chi_X} up to q^{n_max}, by
+    the divisor-sum recurrence n a(n) = chi_X sum_{j=1}^n sigma(j) a(n-j)."""
+    if n_max < 0:
+        raise PreconditionError("negative-order")
+    chi_X = index(chi_X)        # the floor division below is exact only for integers
+    sigma = _divisor_sums(n_max)
+    out = [1]
+    for n in range(1, n_max + 1):
+        out.append(chi_X * sum(sigma[j] * out[n - j] for j in range(1, n + 1)) // n)
+    return out
 
 
 def eta_inv12(order):

@@ -1,7 +1,7 @@
 """Shared builders and independent oracles used across the test modules."""
 
 from fractions import Fraction as F
-from math import gcd
+from math import comb, gcd
 
 from mukailab import (EllipticRelativeParams, elliptic_relative_map, k3_model,
                       mukai_square, vector_stats)
@@ -123,3 +123,82 @@ def quadratic_unique_hyperplanes(walls):
         if w.hyperplane() not in [x.hyperplane() for x in seen]:
             seen.append(w)
     return seen
+
+
+# --- generating-series and Hecke oracles: the former product expansions ----
+
+
+def _binomial_factor_coeffs(exponent, kmax):
+    """z-coefficients of (1 - u z)^exponent up to z^kmax (u symbolic)."""
+    out = []
+    for k in range(kmax + 1):
+        if exponent < 0:
+            out.append(F(comb(-exponent + k - 1, k)))
+        else:
+            out.append(F((-1) ** k * comb(exponent, k)) if k <= exponent else F(0))
+    return out
+
+
+def product_hilb_series(hodge_xy, n_max):
+    """[e(X^[0]), ..., e(X^[n_max])] by multiplying out Goettsche's product
+    one binomial factor (1 - x^{p+m-1} y^{q+m-1} z^m)^{-c_pq} at a time,
+    on {(i, j): coefficient} dicts."""
+    from mukailab.series import LaurentPoly
+    hodge = hodge_xy.hodge_numbers() if isinstance(hodge_xy, LaurentPoly) \
+        else LaurentPoly.constant(hodge_xy).hodge_numbers()
+    series = [{(0, 0): 1}] + [{} for _ in range(n_max)]
+    for m in range(1, n_max + 1):
+        for (p, q), h in sorted(hodge.items()):
+            coeffs = _binomial_factor_coeffs(-((-1) ** (p + q)) * h, n_max // m)
+            new = [{} for _ in range(n_max + 1)]
+            for n in range(n_max + 1):
+                for k in range(0, (n_max - n) // m + 1):
+                    if not coeffs[k]:
+                        continue
+                    # u^k with u = x^{p+m-1} y^{q+m-1}
+                    di, dj = (p + m - 1) * k, (q + m - 1) * k
+                    target = new[n + k * m]
+                    for (i, j), c in series[n].items():
+                        key = (i + di, j + dj)
+                        target[key] = target.get(key, 0) + c * coeffs[k]
+            series = new
+    return [LaurentPoly(e) for e in series]
+
+
+def product_euler_hilb(chi, n_max):
+    """prod (1 - q^m)^{-chi} up to q^{n_max}, one binomial factor at a time."""
+    out = [1] + [0] * n_max
+    for m in range(1, n_max + 1):
+        factors = _binomial_factor_coeffs(-chi, n_max // m)
+        new = [0] * (n_max + 1)
+        for n in range(n_max + 1):
+            if out[n] == 0:
+                continue
+            for k in range(0, (n_max - n) // m + 1):
+                new[n + k * m] += out[n] * factors[k]
+        out = new
+    return [int(x) for x in out]
+
+
+def composed_z1(lat, n_max, box):
+    """The rank-1 term list built term by term and merged, as partition_z1
+    did before it became a single block of the integer kernel."""
+    from mukailab import PartitionTerm, lattice_box_vectors, merge_terms
+    euler = product_euler_hilb(12, n_max)
+    return merge_terms([PartitionTerm(xi, F(2 * euler[n]), F(2 * n - 1, 2), F(1, 2), F(-1, 2))
+                        for xi in lattice_box_vectors(lat, box) for n in range(n_max + 1)])
+
+
+def composed_hecke_zr(r, lat, order, box):
+    """Z^r composed block by block: the rank-1 terms at each block's own
+    level, hecke_block_sum over them, then one merge of all blocks with 1/r^2."""
+    from mukailab import PartitionTerm, hecke_block_sum, hecke_cosets, merge_terms
+    order = F(order)
+    blocks = []
+    for a, d in dict.fromkeys((a, d) for a, _, d in hecke_cosets(r)):
+        n_block = order * d / a + F(1, 2)
+        if n_block < 0:
+            continue
+        blocks.extend(hecke_block_sum(composed_z1(lat, int(n_block), box), a, d, lat))
+    return merge_terms([PartitionTerm(t.xi, t.coeff / (r * r), t.hol_scalar, t.pos_coef,
+                                      t.neg_coef, t.x_scale, t.phase) for t in blocks])

@@ -148,6 +148,22 @@ def test_partition_reads_r_from_inputs(capsys):
     assert json.loads(capsys.readouterr().out)["r"] == 1
 
 
+def test_partition_rational_box_is_parse_error(capsys):
+    box = "--box=0,1/2" + ";0,0" * 9
+    assert main(["partition", "--order", "2", box]) == 2
+    captured = capsys.readouterr()
+    assert captured.out.startswith("parse error: ") and "Traceback" not in captured.err
+
+
+def test_partition_huge_box_is_refused(capsys):
+    box = "--box=" + ";".join(["-3,3"] * 10)          # 7^10 points
+    assert main(["partition", "--order", "2", box]) == 1
+    captured = capsys.readouterr()
+    assert "partition-too-large" in captured.out and "Traceback" not in captured.err
+    assert main(["partition", "--order", "10000000"]) == 1
+    assert "partition-too-large" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("argv,missing", [
     (["gitweight", "--in", json.dumps({
         "dims": {"dimV": 6, "dimVp": 2, "dim_alpha_VW": 30, "dim_alpha_VpW": 10,

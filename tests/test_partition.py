@@ -6,6 +6,9 @@ from mukailab import (PartitionTerm, PreconditionError, enriques_lattice,
                       euler_hilb, hecke_block_sum, hecke_coset_transform,
                       hecke_zr, lattice_box_vectors, merge_terms,
                       multiplicity_chi, partition_z1, q_form, rank_side_terms)
+from mukailab.partition import MAX_PARTITION_WORK
+
+from helpers import composed_hecke_zr, composed_z1
 
 LAT = enriques_lattice()
 BOX0 = tuple((0, 0) for _ in range(10))
@@ -106,6 +109,52 @@ def test_evidence_identity_small_box():
                            for t in hecke_block_sum(z1, a, d, LAT)])
         rhs = rank_side_terms(d, a, LAT, n_max, box)
         assert lhs == rhs
+
+
+def test_merge_terms_keys_on_values():
+    xi0, xi1 = (0,) * 10, (1,) + (0,) * 9
+    terms = [PartitionTerm(xi1, F(1), F(1, 2), F(1, 2), F(-1, 2)),
+             PartitionTerm(xi1, 2, F(2, 4), F(1, 2), F(-1, 2), phase=0),   # same key
+             PartitionTerm(xi0, F(5), F(1, 2), F(1, 6), F(-1, 6), x_scale=3),
+             PartitionTerm(xi0, F(-5), F(1, 2), F(1, 2), F(-1, 2)),        # cancels the above
+             PartitionTerm(xi0, F(7), F(-1, 2), F(1, 2), F(-1, 2), x_scale=5)]
+    assert merge_terms(terms) == [PartitionTerm(xi0, F(7), F(-1, 2), F(0), F(0)),
+                                  PartitionTerm(xi1, F(3), F(1, 2), F(1, 2), F(-1, 2))]
+
+
+def test_z1_kernel_matches_composition():
+    for box in (BOX0, small_box()):
+        for n_max in (0, 1, 4):
+            assert partition_z1(LAT, n_max, box) == composed_z1(LAT, n_max, box)
+
+
+@pytest.mark.parametrize("r,order", [(1, F(7, 2)), (3, 3), (5, 2), (7, F(3, 2)),
+                                     (9, 5), (15, 1), (3, -1), (9, F(-1, 2))])
+def test_hecke_zr_kernel_matches_composition(r, order):
+    # every box contains xi = 0, where split tags and x-scaling merge
+    # across divisor blocks
+    e8_pair = ((0, 0), (0, 0), (-1, 1), (0, 0), (-1, 1)) + ((0, 0),) * 5
+    for box in (BOX0, small_box(), e8_pair):
+        assert hecke_zr(r, LAT, order, box) == composed_hecke_zr(r, LAT, order, box)
+
+
+def test_hecke_zr_cross_block_collision():
+    # r = 9: level 1 of block (9, 1), level 5 of (3, 3) and level 41 of
+    # (1, 9) all land on xi = 0, q^{9/2}, with weights 2 d^2 / r^2
+    euler = euler_hilb(12, 41)
+    terms = [t for t in hecke_zr(9, LAT, 5, BOX0) if t.hol_scalar == F(9, 2)]
+    assert [t.coeff for t in terms] == [F(2 * euler[1] + 18 * euler[5] + 162 * euler[41], 81)]
+
+
+def test_partition_size_guard():
+    box = tuple((-3, 3) for _ in range(10))
+    for call in (lambda: partition_z1(LAT, 2, box), lambda: hecke_zr(3, LAT, 2, box),
+                 lambda: rank_side_terms(3, 1, LAT, 2, box),
+                 lambda: hecke_zr(1, LAT, MAX_PARTITION_WORK, BOX0),
+                 lambda: hecke_zr(MAX_PARTITION_WORK + 1, LAT, 0, BOX0)):
+        with pytest.raises(PreconditionError) as exc:
+            call()
+        assert exc.value.precondition == "partition-too-large"
 
 
 def test_hecke_zr_even_rejected():

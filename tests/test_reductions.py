@@ -6,7 +6,7 @@ import pytest
 from mukailab import (GitData, GitDims, PreconditionError,
                       elliptic_gcd_reduce, enriques_reduce, euler_hilb,
                       filtration_stack_dim, git_weight, git_weight_factored,
-                      lagrangian_fiber_dim, moduli_dim, mukai_square,
+                      hilb_series, lagrangian_fiber_dim, moduli_dim, mukai_square,
                       parabolic_euler, pss_bound, reduce_to_rank_one,
                       trace_rank_sequence, vector_stats)
 from mukailab.lattice import k3_model
@@ -78,6 +78,21 @@ def test_enriques_reduce_small_example(enriques):
     assert red.n == 2
     assert red.hodge.eval_ones() == euler_hilb(12, 2)[2]
     assert red.trace.final.r == 1
+
+
+def test_enriques_hilb_cache_grows_geometrically(monkeypatch):
+    from mukailab import reductions
+    calls = []
+
+    def counted(hodge, n_max):
+        calls.append(n_max)
+        return hilb_series(hodge, n_max)
+
+    monkeypatch.setattr(reductions, "hilb_series", counted)
+    monkeypatch.setattr(reductions, "_enriques_hilb_cache", [])
+    got = [reductions._enriques_hilb(n) for n in range(1, 41)]
+    assert got == hilb_series(reductions.ENRIQUES_DEFAULT_HODGE, 40)[1:]
+    assert calls == [8, 18, 38, 78]          # O(log n) refills, each at least doubling
 
 
 def test_enriques_reduce_random(enriques, rng):

@@ -7,6 +7,13 @@ from mukailab import (PreconditionError, e_gl, elliptic_epoly_recursion,
                       wallcross_epoly)
 from mukailab.series import LaurentPoly as LP
 
+from helpers import product_euler_hilb, product_hilb_series
+
+K3_HODGE = LP({(0, 0): 1, (2, 0): 1, (0, 2): 1, (1, 1): 20, (2, 2): 1})
+ENRIQUES_HODGE = LP({(0, 0): 1, (1, 1): 10, (2, 2): 1})
+ABELIAN_HODGE = LP({(0, 0): 1, (1, 0): -2, (0, 1): -2, (2, 0): 1, (0, 2): 1, (1, 1): 4,
+                    (2, 1): -2, (1, 2): -2, (2, 2): 1})
+
 
 def product_coeffs_oracle(chi, n_max):
     """prod (1 - q^m)^{-chi} by direct convolution with (1-q^m)^-1 chi times."""
@@ -81,6 +88,25 @@ def test_hilb_series_k3_hodge_sanity():
     # Hilb^2 of a K3 surface has Euler number 324
     assert hs[2].eval_ones() == 324
     assert hs[2].coefficient(0, 0) == 1
+
+
+@pytest.mark.parametrize("hodge", [K3_HODGE, ENRIQUES_HODGE, ABELIAN_HODGE, 0, 1, 2, 12, 24],
+                         ids=["k3", "enriques", "abelian", "0", "1", "2", "12", "24"])
+def test_hilb_series_recurrence_matches_product(hodge):
+    assert hilb_series(hodge, 12) == product_hilb_series(hodge, 12)
+
+
+@pytest.mark.parametrize("chi", [-4, 0, 1, 2, 12, 24])
+def test_euler_hilb_recurrence_matches_product(chi):
+    assert euler_hilb(chi, 200) == product_euler_hilb(chi, 200)
+
+
+def test_negative_series_order_rejected():
+    for call in (lambda: euler_hilb(12, -1), lambda: hilb_series(ENRIQUES_HODGE, -1),
+                 lambda: hilb_series(LP.constant(-4), -1)):
+        with pytest.raises(PreconditionError) as exc:
+            call()
+        assert exc.value.precondition == "negative-order"
 
 
 def test_hilb_series_rejects_bad_hodge():
