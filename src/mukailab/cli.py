@@ -193,7 +193,7 @@ def _run_wallsolve(job):
     res = walls.wall_solve_tf(v, v_sub, H, direction, m)
     doc = {"roots": [fmt_rational(t) for t in res.roots],
            "no_wall": res.identical,
-           "irrational": list(res.irrational) if res.irrational else None}
+           "irrational": None}
     rows = [["no-wall" if res.identical else " ".join(fmt_rational(t) for t in res.roots) or "-"]]
     return _emit(job, doc, rows)
 

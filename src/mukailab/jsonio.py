@@ -12,8 +12,8 @@ import json
 from fractions import Fraction
 
 from .errors import ParseError, PreconditionError
-from .lattice import (GammaTriple, MukaiVector, NSLattice, SurfaceModel,
-                      enriques_model, rat)
+from .lattice import (_CHI_O, GammaTriple, MukaiVector, NSLattice,
+                      SurfaceModel, enriques_model, rat)
 from .series import LaurentPoly
 from .transforms import (EllipticRelativeParams, IsotropicContext, compose,
                          cor_ext_map, elliptic_jacobian_map,
@@ -69,9 +69,11 @@ def parse_surface(doc):
     """SurfaceModel from a JSON document.
 
     Keys: kind, gram, basis (optional names), chi_O, polarization,
-    epsilon / h1_O / half_integral (optional), effective (optional list
-    of generator coordinate arrays).  kind "enriques" with no gram uses
-    the built-in rank-10 lattice.
+    half_integral (optional), effective (optional list of generator
+    coordinate arrays).  kind "enriques" with no gram uses the built-in
+    rank-10 lattice.  An "epsilon" is implied by an abelian (0) or K3 (1)
+    kind and refused as epsilon-kind when it contradicts it; "h1_O" is
+    accepted and ignored.
     """
     if not isinstance(doc, dict):
         raise ParseError("surface document must be an object")
@@ -86,31 +88,17 @@ def parse_surface(doc):
         gens = doc.get("effective")
         if gens is not None:
             gens = tuple(lat.cls([parse_rational(x) for x in g]) for g in gens)
-        defaults = {"abelian": (0, 0), "k3": (2, 1), "enriques": (1, 0)}
-        chi_O, eps = defaults.get(kind, (doc.get("chi_O", 0), 0))
-        chi_O = doc.get("chi_O", chi_O)
-        eps = doc.get("epsilon", eps)
-        return SurfaceModel(kind, lat, chi_O, pol, epsilon=eps,
-                            h1_O=doc.get("h1_O", 0),
+        chi_O = doc.get("chi_O", _CHI_O.get(kind, 0))
+        eps = {"abelian": 0, "k3": 1}.get(kind)
+        # refused after a wrong chi_O and before a bad polarization, the
+        # order in which the model's own checks run
+        if eps is not None and doc.get("epsilon", eps) != eps and chi_O == _CHI_O[kind]:
+            raise PreconditionError("epsilon-kind")
+        return SurfaceModel(kind, lat, chi_O, pol,
                             half_integral=doc.get("half_integral", kind == "enriques"),
                             effective_generators=gens)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError("bad surface document: %s" % exc) from exc
-
-
-def surface_to_json(m):
-    doc = {
-        "kind": m.kind,
-        "gram": [list(row) for row in m.ns.gram],
-        "basis": list(m.ns.basis_names),
-        "chi_O": m.chi_O,
-        "polarization": [fmt_rational(x) for x in m.polarization.coords],
-        "half_integral": m.half_integral,
-    }
-    if m.effective_generators is not None:
-        doc["effective"] = [[fmt_rational(x) for x in g.coords]
-                            for g in m.effective_generators]
-    return doc
 
 
 def parse_class(doc, lat):
@@ -141,12 +129,6 @@ def parse_gamma(doc, m):
                            parse_rational(doc["chi"]))
     except (KeyError, TypeError) as exc:
         raise ParseError("bad gamma triple: %s" % exc) from exc
-
-
-def gamma_to_json(g):
-    return {"rank": fmt_rational(g.rank),
-            "c": [fmt_rational(x) for x in g.c.coords],
-            "chi": fmt_rational(g.chi)}
 
 
 def parse_laurent(doc):

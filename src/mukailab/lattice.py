@@ -13,7 +13,7 @@ rationals; no floating point appears anywhere in this package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add, mul, sub
@@ -59,7 +59,8 @@ def _common_denominator(coords):
 
 
 def _gram_mul(rows, x):
-    """G x for an integer tuple x, G given by its sparse rows of (j, g_ij)."""
+    """G x for an integer tuple x, G given by its sparse rows of (j, g_ij)
+    (also used for the cone solver's matrix)."""
     out = []
     for row in rows:
         s = 0
@@ -318,18 +319,15 @@ _CHI_O = {"abelian": 0, "k3": 2, "enriques": 1}
 class SurfaceModel:
     """Numerical model of a surface: lattice, chi(O), polarization, cone.
 
-    ``epsilon`` is the rank shift in t = chi - epsilon*r, meaningful for
-    abelian (0) and K3 (1) surfaces; all chi conversions in this package go
-    through the uniform rule chi = t + r*chi_O/2, which reproduces epsilon
-    on those two kinds and gives the half-integral shift on Enriques.
+    Every chi conversion goes through the uniform rule chi = t + r*chi_O/2:
+    the rank shift t = chi - epsilon*r of abelian (epsilon 0) and K3
+    (epsilon 1) surfaces, and the half-integral shift on Enriques.
     """
 
     kind: str
     ns: NSLattice
     chi_O: int
     polarization: NSClass
-    epsilon: int = 0
-    h1_O: int = 0
     half_integral: bool = False
     effective_generators: tuple = None
 
@@ -338,8 +336,6 @@ class SurfaceModel:
             raise PreconditionError("unknown-kind", self.kind)
         if self.kind in _CHI_O and self.chi_O != _CHI_O[self.kind]:
             raise PreconditionError("chi-O-kind", "%s needs chi_O=%d" % (self.kind, _CHI_O[self.kind]))
-        if self.kind in ("abelian", "k3") and self.epsilon != (0 if self.kind == "abelian" else 1):
-            raise PreconditionError("epsilon-kind")
         if self.polarization.lattice != self.ns:
             raise LatticeMismatchError("polarization lives on a different lattice")
         if self.polarization.self_intersection() <= 0:
@@ -350,10 +346,8 @@ class SurfaceModel:
             for g in gens:
                 if g.lattice != self.ns:
                     raise LatticeMismatchError("effective generator on wrong lattice")
-            if _solve_matrix_rank(gens) != len(gens):
-                raise PreconditionError("dependent-generators",
-                                        "effective cone generators must be linearly independent")
             object.__setattr__(self, "effective_generators", gens)
+            object.__setattr__(self, "_cone", _cone_solver(gens, self.ns.rank))
 
     @property
     def chi_shift(self):
@@ -383,74 +377,56 @@ class SurfaceModel:
         return self.vector(1, self.ns.zero(), self.chi_shift)
 
     def effective(self, D):
-        """Cone-membership test against the generator list."""
+        """Cone-membership test against the generator list: one integer
+        product y = E.D.num, D effective iff its lambda rows are >= 0 and
+        its residual rows vanish."""
         gens = self.effective_generators
         if gens is None:
             raise PreconditionError("no-effective-oracle",
                                     "this model has no effective-cone generators")
-        coeffs = _solve_in_span(gens, D)
-        return coeffs is not None and all(x >= 0 for x in coeffs)
+        y = _gram_mul(self._cone[0], D.num)
+        k = len(gens)
+        return all(x >= 0 for x in y[:k]) and not any(y[k:])
 
 
-def _solve_matrix_rank(gens):
-    rows = [list(g.coords) for g in gens]
-    rank = 0
-    cols = len(rows[0]) if rows else 0
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c] / rows[r][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        r += 1
-        rank += 1
-    return rank
+def _cone_solver(gens, n):
+    """(E, e) for generators g_1..g_k of Q^n: an integer n x n matrix E, as
+    sparse rows, and a scale e > 0 with E.D.num = e*D.den*(lambda, residual),
+    where D = sum lambda_i g_i exactly when the n - k residual entries are 0.
 
-
-def _solve_in_span(gens, D):
-    """Solve D = sum lambda_i gens_i exactly; None if D is outside the span."""
-    n = D.lattice.rank
+    One Gauss-Jordan pass on [G | I], the generators being the columns of
+    G; a column without a pivot means the generators are dependent.
+    """
     k = len(gens)
-    aug = [[gens[j].coords[i] for j in range(k)] + [D.coords[i]] for i in range(n)]
-    piv_cols = []
-    r = 0
+    aug = [[g.coords[i] for g in gens] + [Fraction(i == j) for j in range(n)]
+           for i in range(n)]
     for c in range(k):
-        piv = next((i for i in range(r, n) if aug[i][c] != 0), None)
+        piv = next((i for i in range(c, n) if aug[i][c]), None)
         if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = 1 / aug[r][c]
-        aug[r] = [x * inv for x in aug[r]]
+            raise PreconditionError("dependent-generators",
+                                    "effective cone generators must be linearly independent")
+        aug[c], aug[piv] = aug[piv], aug[c]
+        inv = 1 / aug[c][c]
+        aug[c] = [x * inv for x in aug[c]]
         for i in range(n):
-            if i != r and aug[i][c] != 0:
+            if i != c and aug[i][c]:
                 f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        piv_cols.append(c)
-        r += 1
-    for i in range(r, n):
-        if aug[i][k] != 0:
-            return None
-    out = [Fraction(0)] * k
-    for row, c in zip(range(r), piv_cols):
-        out[c] = aug[row][k]
-    return out
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
+    e = lcm(*(x.denominator for row in aug for x in row[k:]))
+    return tuple(tuple((j, int(x * e)) for j, x in enumerate(row[k:]) if x)
+                 for row in aug), e
 
 
 def abelian_model(gram=None, names=None, polarization=(1, 1), effective_generators=None):
     lat = NSLattice(gram, names) if gram is not None else hyperbolic_lattice()
-    m = SurfaceModel("abelian", lat, 0, lat.cls(polarization), epsilon=0, h1_O=2,
-                     effective_generators=None)
+    m = SurfaceModel("abelian", lat, 0, lat.cls(polarization))
     return _with_gens(m, effective_generators)
 
 
 def k3_model(gram=((0, 1), (1, 0)), names=("e", "f"), polarization=(1, 1),
              effective_generators=None):
     lat = NSLattice(gram, names)
-    m = SurfaceModel("k3", lat, 2, lat.cls(polarization), epsilon=1)
+    m = SurfaceModel("k3", lat, 2, lat.cls(polarization))
     return _with_gens(m, effective_generators)
 
 
@@ -470,8 +446,7 @@ def enriques_model(polarization=None):
     lat = enriques_lattice()
     if polarization is None:
         polarization = [1, 1] + [0] * 8
-    return SurfaceModel("enriques", lat, 1, lat.cls(polarization), h1_O=0,
-                        half_integral=True)
+    return SurfaceModel("enriques", lat, 1, lat.cls(polarization), half_integral=True)
 
 
 def generic_model(gram, names, polarization, chi_O=0, effective_generators=None):
@@ -484,9 +459,7 @@ def _with_gens(m, gens):
     if gens is None:
         return m
     gens = tuple(g if isinstance(g, NSClass) else m.ns.cls(g) for g in gens)
-    return SurfaceModel(m.kind, m.ns, m.chi_O, m.polarization, epsilon=m.epsilon,
-                        h1_O=m.h1_O, half_integral=m.half_integral,
-                        effective_generators=gens)
+    return replace(m, effective_generators=gens)
 
 
 # ---------------------------------------------------------------------------
@@ -649,12 +622,3 @@ def random_ns_class(lat, rng, span=6, denom=4):
 def random_mukai_vector(model, rng, span=6, denom=4):
     q = lambda: Fraction(rng.randint(-span, span), rng.randint(1, denom))
     return MukaiVector(q(), random_ns_class(model.ns, rng, span, denom), q())
-
-
-def random_integral_vector(model, rng, span=6):
-    z = lambda: rng.randint(-span, span)
-    c = model.ns.cls([z() for _ in range(model.ns.rank)])
-    if model.half_integral:
-        r = z()
-        return MukaiVector(r, c, Fraction(r, 2) + z())
-    return MukaiVector(z(), c, z())

@@ -105,8 +105,7 @@ def reduce_to_rank_one(l, r, c1, a, m):
     c1sq = c1sq.numerator
 
     target = SurfaceModel(m.kind, hyperbolic_lattice(), m.chi_O,
-                          hyperbolic_lattice().cls((1, 1)),
-                          epsilon=m.epsilon, h1_O=m.h1_O)
+                          hyperbolic_lattice().cls((1, 1)))
     lat = target.ns
     e_cls, f_cls = lat.basis_class(0), lat.basis_class(1)
 

@@ -55,10 +55,6 @@ class LaurentPoly:
         return cls({(0, 0): 1})
 
     @classmethod
-    def monomial(cls, i, j, c=1):
-        return cls({(i, j): c})
-
-    @classmethod
     def xy(cls, k=1, c=1):
         """c * (xy)^k."""
         return cls({(k, k): c})

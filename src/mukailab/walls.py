@@ -16,12 +16,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor, gcd, isqrt
+from itertools import product
+from math import ceil, floor, gcd, prod
 from operator import mul
 
 from .errors import PreconditionError
-from .lattice import (MukaiVector, NSClass, _gcd_many, _ns_class, chi_of, rat,
-                      twist)
+from .lattice import (MukaiVector, NSClass, _gcd_many, _gram_mul, _ns_class,
+                      chi_of, rat, twist)
+
+# Largest number of lattice points scanned for effective decompositions,
+# and of walls emitted, by one walls_dim1 call.
+MAX_WALL_WORK = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -115,40 +120,41 @@ def effective_decompositions(m, xi):
     """All integral effective D with xi - D effective and D not in {0, xi}.
 
     Requires the model's effective cone (independent generators); returns
-    [] when xi admits no nontrivial decomposition.
+    [] when xi admits no nontrivial decomposition.  With y = E.D.num the
+    cone solver's coordinates, xi - D is effective iff 0 <= y_D <= y_xi, by
+    linearity.  A box of more than MAX_WALL_WORK points is refused.
     """
     gens = m.effective_generators
     if gens is None:
         raise PreconditionError("no-effective-oracle")
     if not xi.is_integral():
         raise PreconditionError("non-integral-class", "xi must be integral")
-    from .lattice import _solve_in_span
-    lam = _solve_in_span(gens, xi)
-    if lam is None or any(x < 0 for x in lam):
+    if not m.effective(xi):
         return []
+    E, e = m._cone
+    y_xi = _gram_mul(E, xi.num)
     # bounding box of {D : D, xi - D in cone} in NS coordinates
     lat = xi.lattice
-    lows = [Fraction(0)] * lat.rank
-    highs = [Fraction(0)] * lat.rank
+    ranges = []
     for i in range(lat.rank):
-        for g, top in zip(gens, lam):
-            contrib = g.coords[i] * top
+        lo = hi = Fraction(0)
+        for g, top in zip(gens, y_xi):
+            contrib = g.coords[i] * Fraction(top, e)
             if contrib >= 0:
-                highs[i] += contrib
+                hi += contrib
             else:
-                lows[i] += contrib
+                lo += contrib
+        ranges.append(range(ceil(lo), floor(hi) + 1))
+    if prod(map(len, ranges)) > MAX_WALL_WORK:
+        raise PreconditionError("walls-too-large",
+                                "more than %d lattice points to scan" % MAX_WALL_WORK)
     out = []
-    def rec(i, coords):
-        if i == lat.rank:
-            D = _ns_class(lat, tuple(coords), 1)
-            if D.is_zero() or D == xi:
-                return
-            if m.effective(D) and m.effective(xi - D):
-                out.append(D)
-            return
-        for x in range(ceil(lows[i]), floor(highs[i]) + 1):
-            rec(i + 1, coords + [x])
-    rec(0, [])
+    zero = (0,) * lat.rank
+    for num in product(*ranges):
+        if num == zero or num == xi.num:
+            continue
+        if all(0 <= a <= b for a, b in zip(_gram_mul(E, num), y_xi)):
+            out.append(_ns_class(lat, num, 1))
     return out
 
 
@@ -200,6 +206,9 @@ def walls_dim1(g, H, box, m):
         scale = Fraction(sign * d, content)
         A, B = scale * xiH, -scale * chi * DH
         an, ad, bn, bd = A.numerator, A.denominator, B.numerator, B.denominator
+        if len(walls) + n_hi - n_lo + 1 > MAX_WALL_WORK:
+            raise PreconditionError("walls-too-large",
+                                    "more than %d walls in the box" % MAX_WALL_WORK)
         for n in range(n_lo, n_hi + 1):
             p, q = an * n * bd + bn * ad, ad * bd
             k = gcd(p, q)
@@ -284,9 +293,6 @@ def chamber_path(alpha, alpha2, walls):
 class WallSolveResult:
     roots: tuple
     identical: bool = False
-    # (A, B, C): integer coefficients of the minimal polynomial when the
-    # roots are irrational; None otherwise
-    irrational: tuple = None
 
     @property
     def no_wall(self):
@@ -296,52 +302,18 @@ class WallSolveResult:
 def wall_solve_tf(v, v_sub, H, direction, m):
     """Solve chi(v_sub exp(-t dir))/r_sub = chi(v exp(-t dir))/r_v for t.
 
-    Preconditions: positive ranks and equal untwisted slopes.  Returns all
-    rational roots; proportional data give the explicit "no wall" signal,
-    irrational roots are reported through their minimal polynomial.
+    Preconditions: positive ranks and equal untwisted slopes.  Both sides
+    have the quadratic term (dir^2)/2, so the equation is B t + C = 0 and
+    has at most one root; proportional data (B = C = 0) give the explicit
+    "no wall" signal.
     """
     if v.r <= 0 or v_sub.r <= 0:
         raise PreconditionError("rank-not-positive")
     if v.c.dot(H) / v.r != v_sub.c.dot(H) / v_sub.r:
         raise PreconditionError("slope-mismatch",
                                 "wall solving requires equal untwisted slopes")
-
-    def reduced_chi_coeffs(u):
-        # chi(u exp(-t D))/r_u as a quadratic in t
-        d2 = direction.self_intersection()
-        const = chi_of(u, m) / u.r
-        lin = -u.c.dot(direction) / u.r
-        quad = d2 / 2
-        return quad, lin, const
-
-    a1, b1, c1 = reduced_chi_coeffs(v_sub)
-    a2, b2, c2 = reduced_chi_coeffs(v)
-    A, B, C = a1 - a2, b1 - b2, c1 - c2
-    if A == 0 and B == 0 and C == 0:
-        return WallSolveResult((), identical=True)
-    if A == 0 and B == 0:
-        return WallSolveResult(())
-    if A == 0:
-        return WallSolveResult((-C / B,))
-    disc = B * B - 4 * A * C
-    if disc < 0:
-        return WallSolveResult(())
-    num, den = disc.numerator, disc.denominator
-    rn, rd = _isqrt_exact(num), _isqrt_exact(den)
-    if rn is None or rd is None:
-        lcm = A.denominator
-        for x in (B, C):
-            lcm = lcm * x.denominator // gcd(lcm, x.denominator)
-        return WallSolveResult((), irrational=(int(A * lcm), int(B * lcm), int(C * lcm)))
-    root = Fraction(rn, rd)
-    t1 = (-B - root) / (2 * A)
-    t2 = (-B + root) / (2 * A)
-    roots = tuple(sorted({t1, t2}))
-    return WallSolveResult(roots)
-
-
-def _isqrt_exact(n):
-    if n < 0:
-        return None
-    r = isqrt(n)
-    return r if r * r == n else None
+    B = v.c.dot(direction) / v.r - v_sub.c.dot(direction) / v_sub.r
+    C = chi_of(v_sub, m) / v_sub.r - chi_of(v, m) / v.r
+    if B == 0:
+        return WallSolveResult((), identical=C == 0)
+    return WallSolveResult((-C / B,))

@@ -202,3 +202,36 @@ def composed_hecke_zr(r, lat, order, box):
         blocks.extend(hecke_block_sum(composed_z1(lat, int(n_block), box), a, d, lat))
     return merge_terms([PartitionTerm(t.xi, t.coeff / (r * r), t.hol_scalar, t.pos_coef,
                                       t.neg_coef, t.x_scale, t.phase) for t in blocks])
+
+
+# --- cone-solver oracle: the former per-call Fraction elimination ----------
+
+
+def solve_in_span(gens, D):
+    """Solve D = sum lambda_i gens_i by Gaussian elimination in Fractions;
+    None if D is outside the span."""
+    n = D.lattice.rank
+    k = len(gens)
+    aug = [[gens[j].coords[i] for j in range(k)] + [D.coords[i]] for i in range(n)]
+    piv_cols = []
+    r = 0
+    for c in range(k):
+        piv = next((i for i in range(r, n) if aug[i][c] != 0), None)
+        if piv is None:
+            continue
+        aug[r], aug[piv] = aug[piv], aug[r]
+        inv = 1 / aug[r][c]
+        aug[r] = [x * inv for x in aug[r]]
+        for i in range(n):
+            if i != r and aug[i][c] != 0:
+                f = aug[i][c]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
+        piv_cols.append(c)
+        r += 1
+    for i in range(r, n):
+        if aug[i][k] != 0:
+            return None
+    out = [F(0)] * k
+    for row, c in zip(range(r), piv_cols):
+        out[c] = aug[row][k]
+    return out

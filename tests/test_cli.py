@@ -1,5 +1,6 @@
 import io
 import json
+import time
 
 import pytest
 
@@ -223,3 +224,30 @@ def test_repeated_main_calls_reuse_parser(capsys):
         assert main(argv) == 0
         outs.append(capsys.readouterr().out)
     assert outs[0] == outs[2] and json.loads(outs[1])["r"] == 3
+
+
+@pytest.mark.parametrize("sub,extra", [("walls", {}),
+                                       ("chamberpath", {"alpha": ["1/7", 0],
+                                                        "alpha2": ["1/5", "1/3"]})])
+@pytest.mark.parametrize("c,box", [([100000, 100000], "--box=-2,2;-2,2"),
+                                   ([1, 2], "--box=-1000000000,1000000000;-2,2")])
+def test_unbounded_walls_input_is_refused(capsys, sub, extra, c, box):
+    doc = dict({"gamma": {"rank": 0, "c": c, "chi": 1}, "H": [1, 3]}, **extra)
+    start = time.perf_counter()
+    code = main([sub, "--surface", json.dumps(ELLIPTIC), box, "--in", json.dumps(doc)])
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out.startswith("domain error [walls-too-large]")
+    assert "Traceback" not in captured.out + captured.err
+
+
+@pytest.mark.parametrize("extra,code,marker", [
+    ({"epsilon": 0}, 1, "domain error [epsilon-kind]"),
+    ({"epsilon": 1}, 0, '{"pair": "-1"}'),
+    ({"h1_O": 5}, 0, '{"pair": "-1"}'),
+])
+def test_k3_epsilon_and_h1_documents(capsys, extra, code, marker):
+    pair = '{"v": {"r": 0, "c": [0, 0], "t": 1}, "w": {"r": 1, "c": [0, 0], "t": 0}}'
+    assert main(["pair", "--surface", json.dumps(dict(K3U, **extra)), "--in", pair]) == code
+    assert capsys.readouterr().out.startswith(marker)

@@ -4,13 +4,13 @@ from fractions import Fraction as F
 import pytest
 
 from mukailab import (LatticeMismatchError, NSLattice, PreconditionError,
-                      chi_of, dual, elliptic_model, enriques_lattice,
+                      SurfaceModel, chi_of, dual, elliptic_model, enriques_lattice,
                       exp_class, gamma_of, hyperbolic_lattice, k3_model,
                       mukai_mul, mukai_pair, mukai_square, twist,
                       vector_of_gamma, vector_stats)
 from mukailab.lattice import random_mukai_vector, random_ns_class
 
-from helpers import fraction_pair
+from helpers import fraction_pair, solve_in_span
 
 
 def pair_oracle(v, w):
@@ -222,3 +222,81 @@ def test_class_lattice_checks(k3_u, enriques):
     with pytest.raises(PreconditionError):
         k3_u.ns.cls((1, 2, 3))
     assert k3_u.ns.zero() != hyperbolic_lattice(("a", "b")).zero()
+
+
+# --- the integer cone solver against the Fraction elimination -------------
+
+
+def _model_with_gens(lat, gens):
+    # (1, 1, 0, ...) has positive square on every lattice used below
+    return SurfaceModel("generic", lat, 0, lat.cls((1, 1) + (0,) * (lat.rank - 2)),
+                        effective_generators=[lat.cls(g) for g in gens])
+
+
+def _random_gens(lat, k, rng):
+    """k random rational generators, independent by construction: on the
+    coordinates ``cols`` they form a triangular block with nonzero diagonal."""
+    n = lat.rank
+    cols = rng.sample(range(n), k)
+    gens = []
+    for i, c in enumerate(cols):
+        g = [F(0)] * n
+        g[c] = F(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 3))
+        for j in cols[:i]:
+            g[j] = F(rng.randint(-4, 4), rng.randint(1, 3))
+        for j in range(n):
+            if j not in cols:
+                g[j] = F(rng.randint(-4, 4), rng.randint(1, 3))
+        gens.append(tuple(g))
+    return gens
+
+
+CONE_LATTICES = [elliptic_model().ns, RANK3, enriques_lattice()]
+
+
+@pytest.mark.parametrize("lat", CONE_LATTICES, ids=["rank2", "rank3", "enriques"])
+def test_effective_matches_fraction_solver(lat, rng):
+    seen = {"inside": 0, "outside": 0, "span": 0}
+    for trial in range(40):
+        k = rng.randint(1, lat.rank)
+        gens = _random_gens(lat, k, rng)
+        if trial % 4 == 0:
+            # integral but not unimodular: every nonzero entry even
+            gens = [tuple(F(2 * rng.randint(1, 3)) if x else F(0) for x in g) for g in gens]
+        m = _model_with_gens(lat, gens)
+        for _ in range(25):
+            if rng.random() < 0.5:
+                # a combination of the generators, so classes in the span occur
+                lam = [F(rng.randint(-3, 5), rng.randint(1, 4)) for _ in gens]
+                D = lat.cls([sum(l * g[i] for l, g in zip(lam, gens)) for i in range(lat.rank)])
+            else:
+                D = random_ns_class(lat, rng)
+            coeffs = solve_in_span(m.effective_generators, D)
+            want = coeffs is not None and all(x >= 0 for x in coeffs)
+            assert m.effective(D) == want
+            seen["span" if coeffs is not None else "outside"] += 1
+            seen["inside"] += want
+    assert all(seen.values())
+
+
+@pytest.mark.parametrize("gens", [
+    [(1, 0), (2, 0)],                       # dependent
+    [(1, 0), (0, 1), (1, 1)],               # more generators than the rank
+    [(0, 0)],                               # a zero generator
+    [(1, 0), (0, 0)],
+    [(F(1, 2), F(1, 3)), (F(3, 2), 1)],    # rational and proportional
+])
+def test_dependent_generators_refused(gens):
+    lat = elliptic_model().ns
+    with pytest.raises(PreconditionError, match="dependent-generators"):
+        _model_with_gens(lat, gens)
+
+
+@pytest.mark.parametrize("lat", [RANK3, enriques_lattice()], ids=["rank3", "enriques"])
+def test_dependent_generators_refused_high_rank(lat, rng):
+    gens = _random_gens(lat, lat.rank - 1, rng)
+    combo = tuple(a + 2 * b for a, b in zip(gens[0], gens[-1]))
+    for bad in (gens + [combo], gens + [(0,) * lat.rank],
+                gens + _random_gens(lat, 2, rng)):
+        with pytest.raises(PreconditionError, match="dependent-generators"):
+            _model_with_gens(lat, bad)

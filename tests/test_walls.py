@@ -1,11 +1,15 @@
+import random
 from fractions import Fraction as F
+from itertools import product
 from math import gcd
 
 import pytest
 
+from mukailab import walls as walls_mod
 from mukailab import (Chamber, GammaTriple, OnWall, PreconditionError,
                       TwistData, chamber_locate, chamber_path, chi_of,
-                      slope_dim1, twisted_invariants, unique_hyperplanes,
+                      effective_decompositions, generic_model, slope_dim1,
+                      twist, twisted_invariants, unique_hyperplanes,
                       wall_solve_tf, walls_dim1)
 from mukailab.lattice import random_mukai_vector
 
@@ -261,3 +265,77 @@ def test_wall_solve_slope_mismatch():
     v_sub = m.vector(1, (0, 1), 0)
     with pytest.raises(PreconditionError):
         wall_solve_tf(v, v_sub, m.polarization, m.cls((0, 1)), m)
+
+
+def _reduced_chi(u, d, m, t):
+    """chi(u exp(-t d)) / r_u, computed through the twist itself."""
+    return chi_of(twist(u, d.scale(-t)), m) / u.r
+
+
+@pytest.mark.parametrize("n", (1, 3, 4))
+def test_wall_solve_roots_equalize_reduced_chi(n):
+    rng = random.Random(20260 + n)
+    m = k3_with_perp(n)
+    H = m.polarization
+    roots = identical = 0
+    for _ in range(150):
+        r_v, r_sub = rng.randint(1, 4), rng.randint(1, 4)
+        # equal slopes: (c, H) = 2 c_0, so c_0 / r must agree
+        h = F(rng.randint(-3, 3), rng.randint(1, 3))
+        v = m.vector(r_v, (h * r_v, F(rng.randint(-4, 4), rng.randint(1, 2))),
+                     F(rng.randint(-9, 9), rng.randint(1, 2)))
+        if rng.random() < 0.2:
+            v_sub = v.scale(F(r_sub, r_v))
+        else:
+            v_sub = m.vector(r_sub, (h * r_sub, rng.randint(-4, 4)),
+                             F(rng.randint(-9, 9), rng.randint(1, 2)))
+        d = m.cls((rng.randint(-2, 2), rng.randint(-2, 2)))
+        res = wall_solve_tf(v, v_sub, H, d, m)
+        assert len(res.roots) <= 1
+        for t in res.roots:
+            assert _reduced_chi(v_sub, d, m, t) == _reduced_chi(v, d, m, t)
+            roots += 1
+        if res.identical:
+            identical += 1
+            for t in (F(0), F(1), F(-5, 3)):
+                assert _reduced_chi(v_sub, d, m, t) == _reduced_chi(v, d, m, t)
+        elif not res.roots:
+            assert _reduced_chi(v_sub, d, m, 0) != _reduced_chi(v, d, m, 0)
+            assert _reduced_chi(v_sub, d, m, 1) - _reduced_chi(v, d, m, 1) == \
+                _reduced_chi(v_sub, d, m, 0) - _reduced_chi(v, d, m, 0)
+    assert roots and identical
+
+
+# --- effective decompositions and the work guard ---------------------------
+
+
+def test_effective_decompositions_match_cone_tests():
+    m = generic_model(((-1, 1, 0), (1, 0, 2), (0, 2, -2)), ("s", "f", "e"), (1, 1, 0),
+                      effective_generators=((1, 0, 0), (1, 1, 0), (0, F(1, 2), 1)))
+    rng = random.Random(4)
+    for _ in range(20):
+        xi = m.cls([rng.randint(0, 4) for _ in range(3)])
+        got = effective_decompositions(m, xi)
+        want = [m.cls(p) for p in product(range(-2, 9), repeat=3)
+                if m.effective(m.cls(p)) and m.effective(xi - m.cls(p))
+                and m.cls(p) not in (m.ns.zero(), xi)]
+        assert got == want
+
+
+def test_walls_work_guard(elliptic, monkeypatch):
+    g, H = gamma_fixture(elliptic)
+    with pytest.raises(PreconditionError, match="walls-too-large"):
+        effective_decompositions(elliptic, elliptic.cls((10 ** 5, 10 ** 5)))
+    with pytest.raises(PreconditionError, match="walls-too-large"):
+        walls_dim1(g, H, ((-10 ** 9, 10 ** 9), (-2, 2)), elliptic)
+    # the limit itself is allowed: 5 x 5 box points, or every wall of BOX
+    monkeypatch.setattr(walls_mod, "MAX_WALL_WORK", 25)
+    assert len(effective_decompositions(elliptic, elliptic.cls((4, 4)))) == 23
+    with pytest.raises(PreconditionError, match="walls-too-large"):
+        effective_decompositions(elliptic, elliptic.cls((4, 5)))
+    n_walls = len(walls_dim1(g, H, BOX, elliptic))
+    monkeypatch.setattr(walls_mod, "MAX_WALL_WORK", n_walls)
+    assert len(walls_dim1(g, H, BOX, elliptic)) == n_walls
+    monkeypatch.setattr(walls_mod, "MAX_WALL_WORK", n_walls - 1)
+    with pytest.raises(PreconditionError, match="walls-too-large"):
+        walls_dim1(g, H, BOX, elliptic)
