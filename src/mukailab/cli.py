@@ -9,28 +9,27 @@ error (the violated precondition is named), 2 parse error.
 
 from __future__ import annotations
 
-import argparse
 import json
 import random
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 
 from . import partition as partition_mod
 from . import reductions, series, transforms, walls
+from ._record import record
 from .errors import MukaiLabError, ParseError, PreconditionError
 from .jsonio import (fmt_rational, laurent_to_json, loads, parse_box,
-                     parse_class, parse_cohmap, parse_gamma, parse_laurent,
-                     parse_rational, parse_surface, parse_vector,
-                     vector_to_json)
+                     parse_class, parse_cohmap, parse_gamma, parse_int,
+                     parse_laurent, parse_rational, parse_surface,
+                     parse_vector, vector_to_json)
 from .lattice import mukai_pair
 
 SUBCOMMANDS = ("pair", "transform", "walls", "chamberpath", "wallsolve",
                "epoly", "partition", "reduce", "dims", "gitweight")
 
 
-@dataclass
+@record(frozen=False)
 class JobSpec:
     subcommand: str
     surface: dict = None
@@ -49,6 +48,8 @@ def run(job, out=None):
     try:
         if job.subcommand not in SUBCOMMANDS:
             raise ParseError("unknown subcommand: %r" % job.subcommand)
+        if job.extra is not None and not isinstance(job.extra, dict):
+            raise ParseError("extra must be a JSON object")
         if job.selftest:
             lines = _selftest(job)
         else:
@@ -89,13 +90,6 @@ def _array(value, key):
 
 def _rationals(value, key):
     return tuple(parse_rational(x) for x in _array(value, key))
-
-
-def _int(value, key):
-    try:
-        return int(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ParseError("bad integer for %r: %r" % (key, value)) from exc
 
 
 def _surface(job):
@@ -215,7 +209,7 @@ def _run_partition(job):
     r = (job.extra or {}).get("r")
     if r is None:
         r = job.inputs.get("r", 1) if isinstance(job.inputs, dict) else 1
-    r = _int(r, "r")
+    r = parse_int(r, "r")
     m = _surface(job) if job.surface else None
     from .lattice import enriques_lattice
     lat = m.ns if m is not None else enriques_lattice()
@@ -241,9 +235,9 @@ def _run_reduce(job):
     if kind == "rank-one":
         m = _surface(job)
         c1 = parse_class(_need(job, "c1"), m.ns)
-        trace = reductions.reduce_to_rank_one(_int(_need(job, "l"), "l"),
-                                              _int(_need(job, "r"), "r"),
-                                              c1, _int(_need(job, "a"), "a"), m)
+        trace = reductions.reduce_to_rank_one(parse_int(_need(job, "l"), "l"),
+                                              parse_int(_need(job, "r"), "r"),
+                                              c1, parse_int(_need(job, "a"), "a"), m)
         extra = {}
     elif kind == "enriques":
         m = _surface(job)
@@ -252,8 +246,8 @@ def _run_reduce(job):
         trace = red.trace
         extra = {"n": red.n, "hodge": laurent_to_json(red.hodge)}
     elif kind == "elliptic-jacobian":
-        trace = reductions.elliptic_gcd_reduce(_int(_need(job, "r"), "r"),
-                                               _int(_need(job, "d"), "d"))
+        trace = reductions.elliptic_gcd_reduce(parse_int(_need(job, "r"), "r"),
+                                               parse_int(_need(job, "d"), "d"))
         extra = {}
     else:
         raise ParseError("unknown reduce kind: %r" % kind)
@@ -400,6 +394,7 @@ def _read_doc(value):
 
 
 def build_parser():
+    import argparse   # here, so that library use of run() never loads it
     parser = argparse.ArgumentParser(prog="mukailab",
                                      description="Exact Mukai-lattice calculations")
     sub = parser.add_subparsers(dest="subcommand", required=True)

@@ -58,6 +58,19 @@ def parse_rational(x):
     return q
 
 
+def parse_int(x, key):
+    """A strict integer: an int, an integral float or an integer string.
+    Bools, non-integral numbers and anything else are parse errors."""
+    try:
+        if isinstance(x, bool) or not isinstance(x, (int, float, str)):
+            raise TypeError(type(x).__name__)
+        if isinstance(x, float) and not x.is_integer():
+            raise ValueError(x)
+        return int(x)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParseError("bad integer for %r: %r" % (key, x)) from exc
+
+
 def fmt_rational(q):
     q = rat(q)
     if q.denominator == 1:
@@ -152,17 +165,19 @@ def parse_cohmap(doc, m):
         raise ParseError("transform must be an object or a list")
     kind = doc.get("kind")
     params = doc.get("params", {})
+    if not isinstance(params, dict):
+        raise ParseError("transform params must be an object")
+    sign = lambda: parse_int(params.get("sign", 1), "sign")
     try:
         if kind == "identity":
             return identity_map(m)
         if kind == "twist":
-            return twist_map(m, parse_class(params["D"], m.ns),
-                             sign=params.get("sign", 1))
+            return twist_map(m, parse_class(params["D"], m.ns), sign=sign())
         if kind == "enriques_reflection":
             v0 = parse_vector(params["v0"], m) if "v0" in params else None
-            return enriques_reflection_map(m, v0, sign=params.get("sign", 1))
+            return enriques_reflection_map(m, v0, sign=sign())
         if kind == "cor_ext":
-            return cor_ext_map(m, int(params["k"]))
+            return cor_ext_map(m, parse_int(params["k"], "k"))
         if kind == "isotropic_fm":
             ctx = IsotropicContext(
                 m, m,
@@ -170,15 +185,16 @@ def parse_cohmap(doc, m):
                 parse_vector(params["w1"], m),
                 parse_class(params["H"], m.ns),
                 parse_class(params["H_hat"], m.ns))
-            return isotropic_fm_map(ctx, sign=params.get("sign", 1))
+            return isotropic_fm_map(ctx, sign=sign())
         if kind == "elliptic_jacobian":
             return elliptic_jacobian_map(m)
         if kind == "elliptic_relative":
-            p = EllipticRelativeParams(int(params["r"]),
-                                       int(params.get("chi_O_sigma", 1)),
-                                       int(params.get("chi_F0_f", 0)))
-            return elliptic_relative_map(m, p, int(params["d"]), int(params["k"]),
-                                         int(params["chi_E0"]))
+            p = EllipticRelativeParams(parse_int(params["r"], "r"),
+                                       parse_int(params.get("chi_O_sigma", 1), "chi_O_sigma"),
+                                       parse_int(params.get("chi_F0_f", 0), "chi_F0_f"))
+            return elliptic_relative_map(m, p, parse_int(params["d"], "d"),
+                                         parse_int(params["k"], "k"),
+                                         parse_int(params["chi_E0"], "chi_E0"))
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError("bad transform document: %s" % exc) from exc
     raise ParseError("unknown transform kind: %r" % kind)

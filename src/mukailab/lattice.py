@@ -7,17 +7,20 @@ and t the coefficient of the point class omega.  The pairing is
 
     <v, w> = (c_v . c_w) - r_v t_w - t_v r_w,
 
-so that <omega, 1> = -1.  Everything is immutable and computed over exact
-rationals; no floating point appears anywhere in this package.
+so that <omega, 1> = -1.  NS classes, Mukai vectors and gamma triples all
+store one integer numerator tuple over one positive denominator, and every
+pairing is an integer Gram product; Fractions appear only at the API edge.
+Everything is immutable and exact; no floating point appears anywhere in
+this package.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add, mul, sub
 
+from ._record import FrozenInstanceError, record, replace
 from .errors import LatticeMismatchError, PreconditionError
 
 
@@ -75,7 +78,40 @@ def _form(rows, a, b):
     return sum(map(mul, a, _gram_mul(rows, b)))
 
 
-@dataclass(frozen=True)
+def _sparse(row):
+    """The sparse form ((j, x) for nonzero x) of a dense integer row."""
+    return tuple((j, x) for j, x in enumerate(row) if x)
+
+
+def _rref(rows, k):
+    """Integer Gauss-Jordan on the first k columns of integer rows.
+
+    Returns (rows, pivots): each pivot row has a positive pivot, every
+    other row is 0 in the pivot columns, and the rational row space is
+    unchanged.  Rows are kept primitive so entries stay small.
+    """
+    rows = [list(row) for row in rows]
+    pivots = []
+    for c in range(k):
+        i = len(pivots)
+        p = next((j for j in range(i, len(rows)) if rows[j][c]), None)
+        if p is None:
+            continue
+        rows[i], rows[p] = rows[p], rows[i]
+        top = rows[i]
+        if top[c] < 0:
+            top = rows[i] = [-x for x in top]
+        for j, row in enumerate(rows):
+            b = row[c]
+            if j != i and b:
+                row = [top[c] * x - b * y for x, y in zip(row, top)]
+                g = _gcd_many(row)
+                rows[j] = [x // g for x in row] if g > 1 else row
+        pivots.append(c)
+    return rows, pivots
+
+
+@record
 class NSLattice:
     """A free Z-module with a symmetric integer intersection form."""
 
@@ -89,14 +125,18 @@ class NSLattice:
         n = len(gram)
         if len(self.basis_names) != n:
             raise PreconditionError("basis-size", "need one name per basis vector")
+        if any(len(row) != n for row in gram):
+            raise PreconditionError("gram-not-square")
         for i in range(n):
-            if len(gram[i]) != n:
-                raise PreconditionError("gram-not-square")
-            for j in range(n):
+            for j in range(i):
                 if gram[i][j] != gram[j][i]:
                     raise PreconditionError("gram-not-symmetric")
-        object.__setattr__(self, "_rows", tuple(
-            tuple((j, g) for j, g in enumerate(row) if g) for row in gram))
+        rows = tuple(_sparse(row) for row in gram)
+        object.__setattr__(self, "_rows", rows)
+        # the Mukai form on (r, c, t): <v, w> = c_v G c_w - r_v t_w - t_v r_w
+        object.__setattr__(self, "_mrows", (((n + 1, -1),),)
+                           + tuple(tuple((j + 1, g) for j, g in row) for row in rows)
+                           + (((0, -1),),))
 
     @property
     def rank(self):
@@ -106,10 +146,10 @@ class NSLattice:
         return NSClass(self, coords)
 
     def zero(self):
-        return _ns_class(self, (0,) * self.rank, 1)
+        return _new(NSClass, self, (0,) * self.rank, 1)
 
     def basis_class(self, i):
-        return _ns_class(self, tuple(1 if j == i else 0 for j in range(self.rank)), 1)
+        return _new(NSClass, self, tuple(1 if j == i else 0 for j in range(self.rank)), 1)
 
     def named(self, name):
         return self.basis_class(self.basis_names.index(name))
@@ -128,69 +168,59 @@ class NSLattice:
 _set = object.__setattr__
 
 
-def _ns_class(lattice, num, den):
-    """NSClass from numerators already in lowest terms over den > 0."""
-    c = object.__new__(NSClass)
-    _set(c, "lattice", lattice)
-    _set(c, "num", num)
-    _set(c, "den", den)
-    return c
+def _new(cls, lattice, num, den):
+    """An exact object of class cls from numerators already in lowest terms
+    over den > 0."""
+    x = object.__new__(cls)
+    _set(x, "lattice", lattice)
+    _set(x, "num", num)
+    _set(x, "den", den)
+    return x
 
 
-def _reduced(lattice, num, den):
-    """NSClass from integer numerators over any positive denominator."""
+def _reduce(cls, lattice, num, den):
+    """An exact object of class cls from integer numerators over any
+    positive denominator.  Tuples are built from lists, not generators:
+    CPython sizes a generator's tuple by resizing, which leaves the tuple
+    free lists of the final sizes growing to their cap."""
     if den != 1:
         g = gcd(den, *num)
         if g != 1:
-            num = tuple(x // g for x in num)
-            den //= g
-    return _ns_class(lattice, num, den)
+            return _new(cls, lattice, tuple([x // g for x in num]), den // g)
+    return _new(cls, lattice, tuple(num), den)
 
 
-class NSClass:
-    """A rational divisor class in a fixed NS lattice basis.
+def _lazy(slot, build):
+    """A read-only property computed by build(self) on first use."""
+    def get(self):
+        try:
+            return getattr(self, slot)
+        except AttributeError:
+            value = build(self)
+            _set(self, slot, value)
+            return value
+    return property(get)
 
-    The class is ``num / den``: a tuple of integer numerators over one
-    positive denominator with gcd(den, *num) = 1 (so the zero class has
-    den 1).  The form is canonical, so equality and hashing agree with
-    equality of the rational coordinates.  ``coords`` is the read-only
-    Fraction tuple, built on first use.  Instances are immutable.
+
+class _Exact:
+    """``num / den`` over one lattice: a tuple of integer numerators over one
+    positive denominator with gcd(den, *num) = 1 (so zero has den 1).  The
+    form is canonical, so equality and hashing agree with equality of the
+    rational coordinates.  Instances are immutable; arithmetic is integer.
     """
 
-    __slots__ = ("lattice", "num", "den", "_coords")
+    __slots__ = ("lattice", "num", "den")
 
-    def __init__(self, lattice, coords):
-        num, den = _common_denominator(tuple(rat(x) for x in coords))
-        if len(num) != lattice.rank:
-            raise PreconditionError("coords-length", "expected rank %d" % lattice.rank)
-        _set(self, "lattice", lattice)
-        _set(self, "num", num)
-        _set(self, "den", den)
+    def __setattr__(self, *args):
+        raise FrozenInstanceError("%s is immutable" % type(self).__name__)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("NSClass is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("NSClass is immutable")
+    __delattr__ = __setattr__
 
     def __reduce__(self):
-        return _ns_class, (self.lattice, self.num, self.den)
-
-    @property
-    def coords(self):
-        try:
-            return self._coords
-        except AttributeError:
-            den = self.den
-            coords = tuple(Fraction(x, den) for x in self.num)
-            _set(self, "_coords", coords)
-            return coords
-
-    def __repr__(self):
-        return "NSClass(lattice=%r, coords=%r)" % (self.lattice, self.coords)
+        return _new, (type(self), self.lattice, self.num, self.den)
 
     def __eq__(self, other):
-        if other.__class__ is not NSClass:
+        if other.__class__ is not self.__class__:
             return NotImplemented
         return (self.num == other.num and self.den == other.den
                 and (self.lattice is other.lattice or self.lattice == other.lattice))
@@ -202,24 +232,22 @@ class NSClass:
         if self.lattice is not other.lattice and self.lattice != other.lattice:
             raise LatticeMismatchError()
 
-    def __add__(self, other):
+    def _combine(self, other, op):
         self._check(other)
         a, b = self.den, other.den
         if a == b:
-            return _reduced(self.lattice, tuple(map(add, self.num, other.num)), a)
-        return _reduced(self.lattice, tuple(x * b + y * a for x, y in zip(self.num, other.num)),
-                        a * b)
+            return _reduce(type(self), self.lattice, [*map(op, self.num, other.num)], a)
+        return _reduce(type(self), self.lattice,
+                       [op(x * b, y * a) for x, y in zip(self.num, other.num)], a * b)
+
+    def __add__(self, other):
+        return self._combine(other, add)
 
     def __sub__(self, other):
-        self._check(other)
-        a, b = self.den, other.den
-        if a == b:
-            return _reduced(self.lattice, tuple(map(sub, self.num, other.num)), a)
-        return _reduced(self.lattice, tuple(x * b - y * a for x, y in zip(self.num, other.num)),
-                        a * b)
+        return self._combine(other, sub)
 
     def __neg__(self):
-        return _ns_class(self.lattice, tuple(-x for x in self.num), self.den)
+        return _new(type(self), self.lattice, tuple([-x for x in self.num]), self.den)
 
     def scale(self, k):
         if type(k) is int:
@@ -228,11 +256,35 @@ class NSClass:
             k = rat(k)
             p, q = k.numerator, k.denominator
         if p == 0:
-            return _ns_class(self.lattice, (0,) * len(self.num), 1)
-        return _reduced(self.lattice, tuple(x * p for x in self.num), self.den * q)
+            return _new(type(self), self.lattice, (0,) * len(self.num), 1)
+        return _reduce(type(self), self.lattice, [x * p for x in self.num], self.den * q)
 
     __mul__ = scale
     __rmul__ = scale
+
+    def is_zero(self):
+        return not any(self.num)
+
+
+class NSClass(_Exact):
+    """A rational divisor class in a fixed NS lattice basis, stored as
+    integer numerators over one denominator.  ``coords`` is the read-only
+    Fraction tuple, built on first use."""
+
+    __slots__ = ("_coords",)
+
+    def __init__(self, lattice, coords):
+        num, den = _common_denominator(tuple(rat(x) for x in coords))
+        if len(num) != lattice.rank:
+            raise PreconditionError("coords-length", "expected rank %d" % lattice.rank)
+        _set(self, "lattice", lattice)
+        _set(self, "num", num)
+        _set(self, "den", den)
+
+    coords = _lazy("_coords", lambda c: tuple(Fraction(x, c.den) for x in c.num))
+
+    def __repr__(self):
+        return "NSClass(lattice=%r, coords=%r)" % (self.lattice, self.coords)
 
     def dot(self, other):
         """Intersection pairing (self . other) under the Gram form."""
@@ -241,9 +293,6 @@ class NSClass:
 
     def self_intersection(self):
         return self.dot(self)
-
-    def is_zero(self):
-        return not any(self.num)
 
     def is_integral(self):
         return self.den == 1
@@ -315,7 +364,7 @@ KINDS = ("abelian", "k3", "enriques", "elliptic-with-section", "generic")
 _CHI_O = {"abelian": 0, "k3": 2, "enriques": 1}
 
 
-@dataclass(frozen=True)
+@record
 class SurfaceModel:
     """Numerical model of a surface: lattice, chi(O), polarization, cone.
 
@@ -361,7 +410,7 @@ class SurfaceModel:
             c = self.ns.cls(c)
         elif c.lattice != self.ns:
             raise LatticeMismatchError()
-        return MukaiVector(rat(r), c, rat(t))
+        return MukaiVector(r, c, t)
 
     def omega(self):
         return self.vector(0, self.ns.zero(), 1)
@@ -390,31 +439,21 @@ class SurfaceModel:
 
 
 def _cone_solver(gens, n):
-    """(E, e) for generators g_1..g_k of Q^n: an integer n x n matrix E, as
-    sparse rows, and a scale e > 0 with E.D.num = e*D.den*(lambda, residual),
-    where D = sum lambda_i g_i exactly when the n - k residual entries are 0.
-
-    One Gauss-Jordan pass on [G | I], the generators being the columns of
-    G; a column without a pivot means the generators are dependent.
+    """(E, e) for generators g_1..g_k of Q^n (integer ``num`` over ``den``):
+    an integer n x n matrix E, as sparse rows, and a scale e > 0 with
+    E.x.num = e*x.den*(lambda, residual), where x = sum lambda_i g_i exactly
+    when the n - k residual entries are 0.  One _rref pass on [G | I], the
+    numerators being the columns of G; a missing pivot means dependence.
     """
     k = len(gens)
-    aug = [[g.coords[i] for g in gens] + [Fraction(i == j) for j in range(n)]
-           for i in range(n)]
-    for c in range(k):
-        piv = next((i for i in range(c, n) if aug[i][c]), None)
-        if piv is None:
-            raise PreconditionError("dependent-generators",
-                                    "effective cone generators must be linearly independent")
-        aug[c], aug[piv] = aug[piv], aug[c]
-        inv = 1 / aug[c][c]
-        aug[c] = [x * inv for x in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
-    e = lcm(*(x.denominator for row in aug for x in row[k:]))
-    return tuple(tuple((j, int(x * e)) for j, x in enumerate(row[k:]) if x)
-                 for row in aug), e
+    rows, pivots = _rref([[g.num[i] for g in gens] + [int(i == j) for j in range(n)]
+                          for i in range(n)], k)
+    if len(pivots) < k:
+        raise PreconditionError("dependent-generators",
+                                "effective cone generators must be linearly independent")
+    e = lcm(*(rows[i][i] for i in range(k)))
+    return tuple(_sparse([x * (e // row[i]) * gens[i].den for x in row[k:]] if i < k
+                         else row[k:]) for i, row in enumerate(rows)), e
 
 
 def abelian_model(gram=None, names=None, polarization=(1, 1), effective_generators=None):
@@ -466,70 +505,58 @@ def _with_gens(m, gens):
 # Mukai vectors
 
 
-@dataclass(frozen=True)
-class MukaiVector:
+class _Triple(_Exact):
+    """(first, c, last) with first and last rational and c an NS class,
+    stored as one numerator tuple (first, *c, last) over one denominator,
+    in canonical form like NSClass.  The three entries are read-only
+    properties built on first use: Fractions and an NSClass."""
+
+    __slots__ = ("_first", "_c", "_last")
+    _names = ()
+
+    def __init__(self, first, c, last):
+        first, last = rat(first), rat(last)
+        den = lcm(first.denominator, c.den, last.denominator)
+        _set(self, "lattice", c.lattice)
+        _set(self, "num", (first.numerator * den // first.denominator,
+                           *(x * (den // c.den) for x in c.num),
+                           last.numerator * den // last.denominator))
+        _set(self, "den", den)
+
+    c = _lazy("_c", lambda v: _reduce(NSClass, v.lattice, v.num[1:-1], v.den))
+
+    def __repr__(self):
+        a, b = self._names
+        return "%s(%s=%r, c=%r, %s=%r)" % (type(self).__name__, a, getattr(self, a),
+                                           self.c, b, getattr(self, b))
+
+
+_first = _lazy("_first", lambda v: Fraction(v.num[0], v.den))
+_last = _lazy("_last", lambda v: Fraction(v.num[-1], v.den))
+
+
+class MukaiVector(_Triple):
     """(rank, NS class, omega coefficient) with exact rational entries."""
 
-    r: Fraction
-    c: NSClass
-    t: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "r", rat(self.r))
-        object.__setattr__(self, "t", rat(self.t))
-
-    def _check(self, other):
-        self.c._check(other.c)
-
-    def __add__(self, other):
-        self._check(other)
-        return MukaiVector(self.r + other.r, self.c + other.c, self.t + other.t)
-
-    def __sub__(self, other):
-        self._check(other)
-        return MukaiVector(self.r - other.r, self.c - other.c, self.t - other.t)
-
-    def __neg__(self):
-        return MukaiVector(-self.r, -self.c, -self.t)
-
-    def scale(self, k):
-        k = rat(k)
-        return MukaiVector(k * self.r, self.c.scale(k), k * self.t)
-
-    __mul__ = scale
-    __rmul__ = scale
-
-    def is_zero(self):
-        return self.r == 0 and self.t == 0 and self.c.is_zero()
+    __slots__ = ()
+    _names = ("r", "t")
+    r = _first
+    t = _last
 
 
-@dataclass(frozen=True)
-class GammaTriple:
+class GammaTriple(_Triple):
     """(rank, c_1, chi) image of a K-theory class."""
 
-    rank: Fraction
-    c: NSClass
-    chi: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "rank", rat(self.rank))
-        object.__setattr__(self, "chi", rat(self.chi))
-
-    def __neg__(self):
-        return GammaTriple(-self.rank, -self.c, -self.chi)
+    __slots__ = ()
+    _names = ("rank", "chi")
+    rank = _first
+    chi = _last
 
 
 def mukai_pair(v, w):
     """<v, w> = (c_v . c_w) - r_v t_w - t_v r_w.  Symmetric and bilinear."""
     v._check(w)
-    c, d = v.c, w.c
-    rv, tv, rw, tw = v.r, v.t, w.r, w.t
-    q1 = rv.denominator * tw.denominator
-    q2 = tv.denominator * rw.denominator
-    q = c.den * d.den
-    num = (_form(c.lattice._rows, c.num, d.num) * q1 * q2
-           - (rv.numerator * tw.numerator * q2 + tv.numerator * rw.numerator * q1) * q)
-    return Fraction(num, q * q1 * q2)
+    return Fraction(_form(v.lattice._mrows, v.num, w.num), v.den * w.den)
 
 
 def mukai_square(v):
@@ -539,9 +566,12 @@ def mukai_square(v):
 def mukai_mul(v, w):
     """Cup product in the even cohomology ring (omega^2 = 0)."""
     v._check(w)
-    return MukaiVector(v.r * w.r,
-                       v.c.scale(w.r) + w.c.scale(v.r),
-                       v.r * w.t + w.r * v.t + v.c.dot(w.c))
+    a, b = v.num, w.num
+    r, s, c, d = a[0], b[0], a[1:-1], b[1:-1]
+    return _reduce(MukaiVector, v.lattice,
+                   (r * s, *(s * x + r * y for x, y in zip(c, d)),
+                    r * b[-1] + s * a[-1] + _form(v.lattice._rows, c, d)),
+                   v.den * w.den)
 
 
 def exp_class(D):
@@ -550,16 +580,29 @@ def exp_class(D):
 
 
 def twist(v, D):
-    """v . exp(D): tensoring with a (rational) line-bundle class."""
-    return mukai_mul(v, exp_class(D))
+    """v . exp(D): tensoring with a (rational) line-bundle class, as one
+    integer kernel over the denominator 2 q^2 den(v), q = den(D)."""
+    v._check(D)
+    a, d, q = v.num, D.num, D.den
+    r, c = a[0], a[1:-1]
+    gd = _gram_mul(v.lattice._rows, d)
+    s = 2 * q * q
+    return _reduce(MukaiVector, v.lattice,
+                   (s * r, *(s * x + 2 * q * r * y for x, y in zip(c, d)),
+                    s * a[-1] + 2 * q * sum(map(mul, c, gd)) + r * sum(map(mul, d, gd))),
+                   s * v.den)
+
+
+def _dual_num(a):
+    return (a[0], *(-x for x in a[1:-1]), a[-1])
 
 
 def dual(v):
     """(r, c, t) -> (r, -c, t); a pairing isometry and ring anti-involution."""
-    return MukaiVector(v.r, -v.c, v.t)
+    return _new(MukaiVector, v.lattice, _dual_num(v.num), v.den)
 
 
-@dataclass(frozen=True)
+@record
 class VectorStats:
     square: Fraction
     isotropic: bool
@@ -574,11 +617,12 @@ def integral_coordinates(v, m):
     integral lattice consists of (r, c, t) with 2t = r (mod 2), and
     (r, c, t - r/2) is a free coordinate system for it.
     """
-    t = v.t - v.r / 2 if m.half_integral else v.t
-    if v.r.denominator != 1 or v.c.den != 1 or t.denominator != 1:
+    a, den = v.num, v.den
+    last, lden = (2 * a[-1] - a[0], 2 * den) if m.half_integral else (a[-1], den)
+    if last % lden or any(x % den for x in a[:-1]):
         raise PreconditionError("non-integral-vector",
                                 "vector is not in the integral Mukai lattice")
-    return (v.r.numerator, *v.c.num, t.numerator)
+    return (*(x // den for x in a[:-1]), last // lden)
 
 
 def vector_stats(v, m):
@@ -588,26 +632,32 @@ def vector_stats(v, m):
     """
     if v.is_zero():
         raise PreconditionError("zero-vector")
-    ints = integral_coordinates(v, m)
-    mult = _gcd_many(ints)
-    prim = v.scale(Fraction(1, mult))
+    mult = _gcd_many(integral_coordinates(v, m))
+    prim = _reduce(MukaiVector, v.lattice, v.num, v.den * mult)
     sq = mukai_square(v)
     return VectorStats(sq, sq == 0, mult, prim)
 
 
+def _shift_last(cls, x, chi_O):
+    """(first, c, last + first*chi_O/2) as a cls: the uniform chi <-> t rule."""
+    a = x.num
+    return _reduce(cls, x.lattice, (*(2 * y for y in a[:-1]), 2 * a[-1] + chi_O * a[0]),
+                   2 * x.den)
+
+
 def chi_of(v, m):
     """Euler characteristic: chi = t + r*chi(O_X)/2."""
-    return v.t + v.r * m.chi_shift
+    return Fraction(2 * v.num[-1] + m.chi_O * v.num[0], 2 * v.den)
 
 
 def gamma_of(v, m):
     """(rank, c_1, chi) triple of a Mukai vector."""
-    return GammaTriple(v.r, v.c, chi_of(v, m))
+    return _shift_last(GammaTriple, v, m.chi_O)
 
 
 def vector_of_gamma(g, m):
     """Inverse of gamma_of: t = chi - r*chi(O_X)/2."""
-    return MukaiVector(g.rank, g.c, g.chi - g.rank * m.chi_shift)
+    return _shift_last(MukaiVector, g, -m.chi_O)
 
 
 # ---------------------------------------------------------------------------

@@ -18,10 +18,10 @@ summation over b is the divisibility filter d | 2n-1+Q(xi^2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
+from ._record import record
 from .errors import PreconditionError
 from .lattice import mukai_square, rat, vector_stats
 from .series import euler_hilb
@@ -35,7 +35,7 @@ ENRIQUES_EULER = 12
 MAX_PARTITION_WORK = 10 ** 6
 
 
-@dataclass(frozen=True)
+@record
 class PartitionTerm:
     """One symbolic term of a partition function.
 

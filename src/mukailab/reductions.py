@@ -19,10 +19,10 @@ parabolic Euler-characteristic arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
+from ._record import record
 from .errors import PreconditionError
 from .lattice import (SurfaceModel, hyperbolic_lattice, mukai_pair,
                       mukai_square, rat, twist, vector_stats)
@@ -30,7 +30,7 @@ from .series import LaurentPoly, hilb_series
 from .transforms import cor_ext_map, enriques_reflection
 
 
-@dataclass(frozen=True)
+@record
 class MoveStep:
     move: str        # 'twist' | 'fm_swap' | 'deform'
     params: tuple    # sorted (name, value) pairs, JSON-friendly
@@ -38,11 +38,15 @@ class MoveStep:
     after: object
 
 
-@dataclass
+@record(frozen=False)
 class MoveTrace:
-    steps: list = field(default_factory=list)
-    invariant_log: list = field(default_factory=list)
+    steps: list = None
+    invariant_log: list = None
     final: object = None
+
+    def __post_init__(self):
+        self.steps = self.steps or []
+        self.invariant_log = self.invariant_log or []
 
     def record(self, move, params, before, after, invariants):
         self.steps.append(MoveStep(move, tuple(sorted(params.items())), before, after))
@@ -104,9 +108,8 @@ def reduce_to_rank_one(l, r, c1, a, m):
         raise PreconditionError("odd-self-intersection", "(c1^2) must be an even integer")
     c1sq = c1sq.numerator
 
-    target = SurfaceModel(m.kind, hyperbolic_lattice(), m.chi_O,
-                          hyperbolic_lattice().cls((1, 1)))
-    lat = target.ns
+    lat = hyperbolic_lattice()
+    target = SurfaceModel(m.kind, lat, m.chi_O, lat.cls((1, 1)))
     e_cls, f_cls = lat.basis_class(0), lat.basis_class(1)
 
     def emkf(k):
@@ -237,7 +240,7 @@ def _solve_pairing(lat, c, target):
 # Enriques reduction
 
 
-@dataclass(frozen=True)
+@record
 class EnriquesReduction:
     trace: MoveTrace
     n: int
@@ -531,7 +534,7 @@ def trace_rank_sequence(trace, initial_rank):
 # Filtration-stack dimensions and moduli dimensions
 
 
-@dataclass(frozen=True)
+@record
 class FiltrationDims:
     sum_form: Fraction      # sum dims + sum_{i<j} <v_i, v_j>
     deficit_form: Fraction  # sum_{i<j} <v_i, v_j> - (s - 1)
@@ -601,7 +604,7 @@ def pss_bound(v, m):
 # GIT weights and parabolic Euler characteristics
 
 
-@dataclass(frozen=True)
+@record
 class GitDims:
     """Dimension data of a subspace V' inside the GIT weight computation."""
 
@@ -613,7 +616,7 @@ class GitDims:
     dim_V_i: tuple
 
 
-@dataclass(frozen=True)
+@record
 class GitData:
     h_m: Fraction
     h_i_m: tuple

@@ -25,10 +25,10 @@ Every division is exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import index
 
+from ._record import record
 from .errors import PreconditionError
 from .lattice import rat
 
@@ -171,7 +171,7 @@ class LaurentPoly:
         return " + ".join(bits)
 
 
-@dataclass(frozen=True)
+@record
 class QSeries:
     """sum a_k q^{k/denom}, truncated: exponents above ``order`` are unknown.
 

@@ -1,32 +1,78 @@
-"""Cohomological Fourier-Mukai transforms as exact linear maps.
+"""Cohomological Fourier-Mukai transforms as exact integer matrices.
 
-Each transform acts on Mukai vectors (or gamma triples, for the elliptic
-kinds) and preserves the Mukai pairing.  Contravariant transforms are
+Each transform is linear on Mukai vectors (r, c, t) and preserves the
+Mukai pairing.  A CohMap is one integer matrix over one positive
+denominator acting on the numerators (r, *c, t) of a vector.  A map
+defined only on a sublattice (the elliptic kinds) also carries integer
+constraint rows, each group naming the error that a vector outside the
+domain raises.  ``apply`` is one matrix-vector product followed by the
+sign, ``compose`` is a matrix product, and ``check_isometry`` is an exact
+proof over an integer basis of the domain.  Contravariant transforms are
 flattened to linear maps with an explicit overall sign recorded on the
-map; stability-transport statements of the form "M(v) maps to
-M(-Phi(v))" are realized by maps carrying sign = -1.
+map; stability-transport statements of the form "M(v) maps to M(-Phi(v))"
+are realized by maps carrying sign = -1.
 """
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
 
+from ._record import record
 from .errors import LatticeMismatchError, PreconditionError
-from .lattice import (GammaTriple, MukaiVector, NSClass, SurfaceModel, chi_of,
-                      dual, mukai_pair, rat, random_mukai_vector, twist,
-                      vector_of_gamma, vector_stats)
+from .lattice import (GammaTriple, MukaiVector, NSClass, SurfaceModel,
+                      _cone_solver, _dual_num, _form, _gcd_many, _gram_mul,
+                      _reduce, _rref, integral_coordinates,
+                      mukai_pair, rat, vector_of_gamma)
+
+
+def _unit(n, i, x=1):
+    row = [0] * n
+    row[i] = x
+    return row
+
+
+def _mul(rows, x):
+    """The integer matrix-vector product of dense rows and x."""
+    return [sum(map(mul, row, x)) for row in rows]
+
+
+def _canon(rows, den):
+    """Dense integer rows over den > 0, divided by gcd(den, entries)."""
+    g = gcd(den, *(x for row in rows for x in row))
+    return [[x // g for x in row] for row in rows], den // g
+
+
+def _matrix(n_out, n_in, terms, diag=()):
+    """The rational matrix diag + sum(col row^T / d) over the terms (col,
+    row, d), with integer columns and rows and nonzero integer d, as
+    canonical (dense integer rows, den)."""
+    den = lcm(*(d for _, _, d in terms))
+    m = [[0] * n_in for _ in range(n_out)]
+    for i, x in enumerate(diag):
+        m[i][i] = x * den
+    for col, row, d in terms:
+        k = den // d
+        for mi, x in zip(m, col):
+            if x:
+                x *= k
+                for j, y in enumerate(row):
+                    mi[j] += x * y
+    return _canon(m, den)
 
 
 class CohMap:
     """A pairing-preserving linear map on Mukai vectors.
 
-    ``apply`` includes the recorded sign; ``raw_apply`` omits it.  Maps can
+    ``matrix`` is (dense integer rows, den) acting on source numerators.
+    ``checks`` holds (rows, precondition, message) groups: a vector on
+    which a row of a group is nonzero lies outside the domain and raises
+    that group's error.  ``apply`` includes the recorded sign.  Maps can
     be composed when adjacent source/target models agree.
     """
 
-    def __init__(self, kind, source, target, func, sign=1, params=None, sampler=None):
+    def __init__(self, kind, source, target, matrix, sign=1, params=None, checks=()):
         if sign not in (1, -1):
             raise PreconditionError("bad-sign")
         self.kind = kind
@@ -34,27 +80,29 @@ class CohMap:
         self.target = target
         self.sign = sign
         self.params = dict(params or {})
-        self._func = func
-        self._sampler = sampler
-
-    def raw_apply(self, v):
-        return self._func(v)
+        self._rows, self._den = matrix
+        self._checks = tuple(checks)
 
     def apply(self, v):
-        w = self._func(v)
-        return w if self.sign == 1 else -w
-
-    def random_domain_vector(self, rng):
-        if self._sampler is not None:
-            return self._sampler(rng)
-        return random_mukai_vector(self.source, rng)
+        lat = self.source.ns
+        if v.lattice is not lat and v.lattice != lat:
+            raise LatticeMismatchError()
+        x = v.num
+        for rows, precondition, message in self._checks:
+            if any(_mul(rows, x)):
+                raise PreconditionError(precondition, message)
+        num = _mul(self._rows, x)
+        if self.sign != 1:
+            num = [-y for y in num]
+        return _reduce(MukaiVector, self.target.ns, num, self._den * v.den)
 
     def __repr__(self):
         return "CohMap(%s, sign=%+d)" % (self.kind, self.sign)
 
 
 def identity_map(model):
-    return CohMap("identity", model, model, lambda v: v)
+    n = model.ns.rank + 2
+    return CohMap("identity", model, model, _matrix(n, n, [], [1] * n))
 
 
 def twist_map(model, D, sign=1):
@@ -62,12 +110,24 @@ def twist_map(model, D, sign=1):
     rational D is allowed for alpha-twist bookkeeping."""
     if D.lattice != model.ns:
         raise LatticeMismatchError()
-    return CohMap("twist", model, model, lambda v: twist(v, D), sign=sign,
-                  params={"D": D})
+    n, d, q = model.ns.rank + 2, D.num, D.den
+    gd = model.ns.gram_mul(d)
+    omega, r = _unit(n, n - 1), _unit(n, 0)
+    # (r, c, t) -> (r, c + r D, t + (c, D) + r (D^2)/2)
+    matrix = _matrix(n, n, [((0, *d, 0), r, q), (omega, (0, *gd, 0), q),
+                            (omega, _unit(n, 0, sum(map(mul, d, gd))), 2 * q * q)], [1] * n)
+    return CohMap("twist", model, model, matrix, sign=sign, params={"D": D})
 
 
 # ---------------------------------------------------------------------------
 # Enriques (-1)-reflection
+
+
+def _check_reflection_kernel(v0):
+    if mukai_pair(v0, v0) != -1:
+        raise PreconditionError("v0-square", "<v0^2> must be -1")
+    if v0.r.denominator != 1 or v0.r <= 0 or v0.r.numerator % 2 == 0:
+        raise PreconditionError("v0-rank", "rk v0 must be odd and positive")
 
 
 def enriques_reflection(v0, x):
@@ -80,12 +140,13 @@ def enriques_reflection(v0, x):
     s + c + (r/2)omega and is an involution; for kernels with c_1(v0) != 0
     the inverse is the analogous formula built from the dual kernel class.
     """
-    if mukai_pair(v0, v0) != -1:
-        raise PreconditionError("v0-square", "<v0^2> must be -1")
-    if v0.r.denominator != 1 or v0.r <= 0 or v0.r.numerator % 2 == 0:
-        raise PreconditionError("v0-rank", "rk v0 must be odd and positive")
-    s = mukai_pair(x, v0)
-    return -(dual(x) + dual(v0).scale(2 * s))
+    _check_reflection_kernel(v0)
+    x._check(v0)
+    k = v0.den * v0.den
+    s = 2 * _form(x.lattice._mrows, x.num, v0.num)
+    return _reduce(MukaiVector, x.lattice,
+                   [-(k * a + s * b) for a, b in zip(_dual_num(x.num), _dual_num(v0.num))],
+                   x.den * k)
 
 
 def enriques_reflection_map(model, v0=None, sign=1):
@@ -93,16 +154,20 @@ def enriques_reflection_map(model, v0=None, sign=1):
         raise PreconditionError("surface-kind", "reflection needs an Enriques model")
     if v0 is None:
         v0 = model.structure_sheaf_vector()
-    return CohMap("enriques_reflection", model, model,
-                  lambda x: enriques_reflection(v0, x), sign=sign,
-                  params={"v0": v0})
+    _check_reflection_kernel(v0)
+    n = model.ns.rank + 2
+    # -(dual + 2 dual(v0) <., v0>), the pairing row being G_Mukai v0
+    matrix = _matrix(n, n, [([-2 * x for x in _dual_num(v0.num)],
+                             _gram_mul(model.ns._mrows, v0.num), v0.den * v0.den)],
+                     [-1] + [1] * (n - 2) + [-1])
+    return CohMap("enriques_reflection", model, model, matrix, sign=sign, params={"v0": v0})
 
 
 # ---------------------------------------------------------------------------
 # Transforms attached to a primitive isotropic vector v1
 
 
-@dataclass(frozen=True)
+@record
 class IsotropicCoords:
     """v = l*v1 - a*omega + d*(H + (H,c1)/r omega) + (D + (D,c1)/r omega)."""
 
@@ -113,11 +178,11 @@ class IsotropicCoords:
 
 
 def _check_isotropic_kernel(v1, m):
-    if v1.r <= 0:
+    if v1.num[0] <= 0:
         raise PreconditionError("kernel-rank", "rk v1 must be positive")
-    if mukai_pair(v1, v1) != 0:
+    if _form(v1.lattice._mrows, v1.num, v1.num):
         raise PreconditionError("kernel-not-isotropic")
-    if vector_stats(v1, m).multiplicity != 1:
+    if _gcd_many(integral_coordinates(v1, m)) != 1:
         raise PreconditionError("kernel-not-primitive")
 
 
@@ -143,7 +208,7 @@ def isotropic_reconstruct(coords, v1, H, m):
     return v1.scale(coords.l) - omega.scale(coords.a) + hpart.scale(coords.d) + dpart
 
 
-@dataclass(frozen=True)
+@record
 class IsotropicContext:
     """Data for the transform sending l*v1 - a*omega + (dH + D + ...) to
     l*omega' - a*w1 + (d H_hat + D_hat + ...).
@@ -172,59 +237,95 @@ class IsotropicContext:
 
 
 def _validate_isotropic_context(ctx):
+    """Check the context; returns {i: image} of the H-perp basis under the
+    hat map, keyed by the coordinate each basis vector stands for."""
     _check_isotropic_kernel(ctx.v1, ctx.source)
     _check_isotropic_kernel(ctx.w1, ctx.target)
-    if ctx.v1.r != ctx.w1.r:
+    v1, w1, H, K = ctx.v1, ctx.w1, ctx.H, ctx.H_hat
+    if v1.num[0] * w1.den != w1.num[0] * v1.den:
         raise PreconditionError("kernel-rank", "v1 and w1 must have equal rank")
-    if ctx.H.self_intersection() != ctx.H_hat.self_intersection():
+    if _form(H.lattice._rows, H.num, H.num) * K.den ** 2 \
+            != _form(K.lattice._rows, K.num, K.num) * H.den ** 2:
         raise PreconditionError("polarization-square",
                                 "(H^2) and (H_hat^2) must agree for an isometry")
     # the hat map must send H-perp isometrically into H_hat-perp
     basis = _perp_basis(ctx.H)
-    images = [ctx.map_perp(b) for b in basis]
-    for i, bi in enumerate(basis):
+    images = {i: ctx.map_perp(b) for i, b in basis.items()}
+    for i, bi in basis.items():
         if images[i].dot(ctx.H_hat) != 0:
             raise PreconditionError("hat-map-not-perp")
-        for j in range(i + 1):
-            if images[i].dot(images[j]) != bi.dot(basis[j]):
+        for j, bj in basis.items():
+            if j > i:
+                break
+            if images[i].dot(images[j]) != bi.dot(bj):
                 raise PreconditionError("hat-map-not-isometry")
+    return images
 
 
 def _perp_basis(H):
-    """A rational basis of the orthogonal complement of H in NS tensor Q."""
+    """A rational basis of the orthogonal complement of H in NS tensor Q,
+    as {i: e_i - ((H, e_i)/(H, e_p)) e_p} over the coordinates i other
+    than the first p with (H, e_p) != 0."""
     lat = H.lattice
     n = lat.rank
     w = lat.gram_mul(H.num)          # (H . e_i), up to the factor 1/H.den
     piv = next((i for i, x in enumerate(w) if x != 0), None)
     if piv is None:
-        return [lat.basis_class(i) for i in range(n)]
-    out = []
-    for i in range(n):
-        if i == piv:
-            continue
-        coords = [0] * n
-        coords[i] = 1
-        coords[piv] = Fraction(-w[i], w[piv])
-        out.append(lat.cls(coords))
-    return out
+        return {i: lat.basis_class(i) for i in range(n)}
+    p = abs(w[piv])
+    return {i: _reduce(NSClass, lat, [p if j == i else -w[i] * p // w[piv] if j == piv else 0
+                                      for j in range(n)], p)
+            for i in range(n) if i != piv}
 
 
 def isotropic_fm(v, ctx):
     """Apply the degree-preserving transform of the isotropic kernel."""
-    co = isotropic_coords(v, ctx.v1, ctx.H, ctx.source)
-    r1 = ctx.w1.r
-    omega = MukaiVector(0, ctx.target.ns.zero(), 1)
-    H_hat = ctx.H_hat
-    D_hat = ctx.map_perp(co.D)
-    hpart = MukaiVector(0, H_hat, H_hat.dot(ctx.w1.c) / r1)
-    dpart = MukaiVector(0, D_hat, D_hat.dot(ctx.w1.c) / r1)
-    return omega.scale(co.l) - ctx.w1.scale(co.a) + hpart.scale(co.d) + dpart
+    return isotropic_fm_map(ctx).apply(v)
 
 
 def isotropic_fm_map(ctx, sign=1):
-    _validate_isotropic_context(ctx)
-    return CohMap("isotropic_fm", ctx.source, ctx.target,
-                  lambda v: isotropic_fm(v, ctx), sign=sign, params={"ctx": ctx})
+    """The transform of IsotropicContext as an integer matrix.
+
+    With l, a, d, D the isotropic_coords of v, P(y) = (0, y^, (y^, c_1(w1))
+    / r1) and the hat map extended to NS by sending the pivot coordinate of
+    the H-perp basis to 0 (D lies in H-perp, where the two agree), v maps to
+
+        l (omega' - P(c_1(v1))) - a w1 + d (P'(H_hat) - P(H)) + P(c),
+
+    P' taking H_hat itself.  Each term is an integer outer product.
+    """
+    images = _validate_isotropic_context(ctx)
+    src, tgt = ctx.source.ns, ctx.target.ns
+    H, K = ctx.H, ctx.H_hat
+    gh = src.gram_mul(H.num)
+    h2 = sum(map(mul, H.num, gh))
+    if h2 == 0:
+        raise PreconditionError("degenerate-polarization", "(H^2) must be nonzero")
+    p, *u, _ = ctx.v1.num
+    p2, *u2, _ = ctx.w1.num
+    e1, hd, kd = ctx.v1.den, H.den, K.den
+    g2 = tgt.gram_mul(u2)
+    # the extended hat map: column i over the common denominator ad
+    ad = lcm(*(b.den for b in images.values()))
+    cols = [[x * (ad // images[i].den) for x in images[i].num] if i in images
+            else [0] * tgt.rank for i in range(src.rank)]
+    arows = list(zip(*cols))
+    au = [sum(map(mul, row, u)) for row in arows]
+    ah = [sum(map(mul, row, H.num)) for row in arows]
+    ug, kg, hg = sum(map(mul, au, g2)), sum(map(mul, K.num, g2)), sum(map(mul, ah, g2))
+    n_in, n_out = src.rank + 2, tgt.rank + 2
+    terms = [
+        # l(v) = r e1 / p
+        ([0, *[-p2 * y for y in au], ad * e1 * p2 - ug], _unit(n_in, 0, e1), ad * e1 * p2 * p),
+        # a(v) = <v, v1> / r1 = (G_Mukai v1.num) v / p
+        ([-x for x in ctx.w1.num], _gram_mul(src._mrows, ctx.v1.num), ctx.w1.den * p),
+        # d(v) = hd (p (c, G H.num) - r (u, G H.num)) / (p (H.num)^2)
+        ([0, *[p2 * (ad * hd * x - kd * y) for x, y in zip(K.num, ah)], ad * hd * kg - kd * hg],
+         [-hd * sum(map(mul, u, gh)), *[hd * p * x for x in gh], 0], kd * ad * hd * p2 * p * h2),
+    ] + [([0, *[p2 * x for x in col], sum(map(mul, col, g2))], _unit(n_in, i + 1), ad * p2)
+         for i, col in enumerate(cols)]
+    return CohMap("isotropic_fm", ctx.source, ctx.target, _matrix(n_out, n_in, terms),
+                  sign=sign, params={"ctx": ctx})
 
 
 def cor_ext_context(model, k):
@@ -248,7 +349,7 @@ def cor_ext_map(model, k):
     return isotropic_fm_map(cor_ext_context(model, k), sign=-1)
 
 
-@dataclass(frozen=True)
+@record
 class FMPreconditions:
     deg_G1: Fraction
     l: Fraction
@@ -326,34 +427,29 @@ def elliptic_jacobian_map(model):
     """Mukai-vector form of the Jacobian transform on an elliptic K3 model.
 
     Uses chi = 2r + ch_2 to bridge (r, c, t) and the (r, l, D, n)
-    presentation; defined on vectors with (c_1, f) = 0.
+    presentation: l = (c, sigma), D = c - l f and n = 2r - chi = r - t,
+    so v maps to (0, c - l f - r sigma - (r - t) f, -(r + l)).  Defined on
+    vectors with (c_1, f) = 0, and D must then be fiber-perp.
     """
     if model.kind != "k3":
         raise PreconditionError("surface-kind",
                                 "the Mukai-vector bridge needs an elliptic K3 model")
     sigma, f = _sigma_f(model)
-
-    def func(v):
-        if v.c.dot(f) != 0:
-            raise PreconditionError("relative-degree",
-                                    "(c_1, f) = 0 required for this presentation")
-        l = v.c.dot(sigma)              # c = l*f + D with D perp sigma, f
-        D = v.c - f.scale(l)
-        chi = chi_of(v, model)
-        n = 2 * v.r - chi               # n = -ch_2, ch_2 = chi - 2r on K3
-        g = elliptic_jacobian_fm(v.r, l, D, n, model)
-        return vector_of_gamma(g, model)
-
-    def sampler(rng):
-        v = random_mukai_vector(model, rng)
-        # strip the sigma-component so that (c_1, f) = 0
-        c = v.c - sigma.scale(v.c.dot(f))
-        return MukaiVector(v.r, c, v.t)
-
-    return CohMap("elliptic_jacobian", model, model, func, sampler=sampler)
+    n, s, fn = model.ns.rank + 2, sigma.num, f.num
+    gs, gf = model.ns.gram_mul(s), model.ns.gram_mul(fn)
+    minus_f = (0, *(-x for x in fn), 0)
+    matrix = _matrix(n, n, [
+        (minus_f, (0, *gs, 0), 1), (minus_f, _unit(n, n - 1, -1), 1),
+        ((0, *(-x - y for x, y in zip(s, fn)), 0), _unit(n, 0), 1),
+        (_unit(n, n - 1), (-1, *(-x for x in gs), 0), 1)], [0] + [1] * (n - 2) + [0])
+    checks = [([[0, *gf, 0]], "relative-degree", "(c_1, f) = 0 required for this presentation")]
+    # given (c, f) = 0, (D, sigma) = l (1 - (f, sigma)) and (D, f) = -l (f^2)
+    if sum(map(mul, fn, gs)) != 1 or sum(map(mul, fn, gf)) != 0:
+        checks.append(([[0, *gs, 0]], "not-fiber-perp", "D must pair to 0 with sigma and f"))
+    return CohMap("elliptic_jacobian", model, model, matrix, checks=checks)
 
 
-@dataclass(frozen=True)
+@record
 class EllipticRelativeParams:
     """Numerical data of a relative-moduli kernel of fiber rank r.
 
@@ -384,48 +480,39 @@ def elliptic_relative_map(model, params, d, k, chi_E0):
     The kernel data is pinned by gamma(E0) = (r, -d*sigma + k*f, chi_E0);
     the map is defined on the rational span of E0, E0|f and the point
     class.  Geometric consistency ((sigma^2) = -2, chi(O_sigma) = 1 and
-    d^2 + d k + r*chi_E0 - r^2 = 1) makes it a pairing isometry.
+    d^2 + d k + r*chi_E0 - r^2 = 1) makes it a pairing isometry.  One
+    solver pass gives the kernel-basis coordinates, whose residual rows
+    are the domain constraints.
     """
     if model.kind != "k3":
         raise PreconditionError("surface-kind",
                                 "the Mukai-vector bridge needs an elliptic K3 model")
     sigma, f = _sigma_f(model)
     r = params.r
-    vE0 = vector_of_gamma(GammaTriple(r, sigma.scale(-d) + f.scale(k), chi_E0), model)
-    vE0f = vector_of_gamma(GammaTriple(0, f.scale(r), -d), model)
-    vC = vector_of_gamma(GammaTriple(0, model.ns.zero(), 1), model)
-    basis = (vE0, vE0f, vC)
-
-    def decompose(v):
-        a = v.r / r                                   # only E0 has rank
-        rest = v - vE0.scale(a)
-        # rest = b*(0, r f, t_Ef) + c*(0, 0, 1): read b off the f-coefficient
-        b = rest.c.dot(sigma) / (r * f.dot(sigma))
-        rest2 = rest - vE0f.scale(b)
-        if not rest2.c.is_zero() or rest2.r != 0:
-            raise PreconditionError("outside-span",
-                                    "vector is not in the kernel-basis span")
-        return a, b, rest2.t
-
-    def func(v):
-        a, b, c = decompose(v)
-        return vector_of_gamma(elliptic_relative_fm(a, b, c, params, model), model)
-
-    def sampler(rng):
-        q = lambda: Fraction(rng.randint(-6, 6), rng.randint(1, 4))
-        return vE0.scale(q()) + vE0f.scale(q()) + vC.scale(q())
-
-    return CohMap("elliptic_relative", model, model, func,
+    if not r:
+        raise PreconditionError("kernel-rank", "the fiber rank r must be nonzero")
+    basis = (vector_of_gamma(GammaTriple(r, sigma.scale(-d) + f.scale(k), chi_E0), model),
+             vector_of_gamma(GammaTriple(0, f.scale(r), -d), model),
+             vector_of_gamma(GammaTriple(0, model.ns.zero(), 1), model))
+    n = model.ns.rank + 2
+    E, e = _cone_solver(basis, n)
+    images = [vector_of_gamma(elliptic_relative_fm(*x, params, model), model)
+              for x in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+    E = [[dict(row).get(j, 0) for j in range(n)] for row in E]
+    matrix = _matrix(n, n, [(w.num, row, w.den * e) for w, row in zip(images, E)])
+    return CohMap("elliptic_relative", model, model, matrix,
                   params={"params": params, "d": d, "k": k, "chi_E0": chi_E0},
-                  sampler=sampler)
+                  checks=[(E[3:], "outside-span", "vector is not in the kernel-basis span")])
 
 
 # ---------------------------------------------------------------------------
-# Composition and the isometry check
+# Composition and the isometry proof
 
 
 def compose(maps):
-    """Composite map applying ``maps`` in list order."""
+    """Composite map applying ``maps`` in list order: the matrix product,
+    with each later map's constraint rows pulled back through the maps
+    before it, so a vector leaving a map's domain raises that map's error."""
     maps = list(maps)
     if not maps:
         raise PreconditionError("empty-composition")
@@ -433,25 +520,39 @@ def compose(maps):
         if a.target != b.source:
             raise PreconditionError("model-mismatch",
                                     "composition needs matching target/source models")
-    sign = 1
-    for m in maps:
-        sign *= m.sign
-
-    def func(v):
-        for m in maps:
-            v = m.raw_apply(v)
-        return v
-
-    return CohMap("composite", maps[0].source, maps[-1].target, func, sign=sign,
-                  params={"maps": maps}, sampler=maps[0]._sampler)
+    rows, den, sign, checks = maps[0]._rows, maps[0]._den, maps[0].sign, list(maps[0]._checks)
+    for m in maps[1:]:
+        cols = list(zip(*rows))
+        for group, precondition, message in m._checks:
+            group = [row for row in (_mul(cols, r) for r in group) if any(row)]
+            if group:
+                checks.append((group, precondition, message))
+        rows, den, sign = [_mul(cols, r) for r in m._rows], den * m._den, sign * m.sign
+    return CohMap("composite", maps[0].source, maps[-1].target, _canon(rows, den), sign=sign,
+                  params={"maps": maps}, checks=checks)
 
 
 def check_isometry(cmap, samples=1000, rng=None):
-    """Exact <Phi v, Phi w> = <v, w> on ``samples`` random rational pairs."""
-    rng = rng or random.Random(20201)
-    for _ in range(samples):
-        v = cmap.random_domain_vector(rng)
-        w = cmap.random_domain_vector(rng)
-        if mukai_pair(cmap.apply(v), cmap.apply(w)) != mukai_pair(v, w):
-            return False
-    return True
+    """Exact proof that cmap preserves the Mukai pairing on its domain.
+
+    With B an integer basis of the domain (the null space of the
+    constraint rows) and M / den the map's matrix, it checks
+    B^T M^T G_target M B = den^2 B^T G_source B entry by entry in
+    integers, G being the Mukai Gram matrices; by bilinearity this covers
+    every vector of the domain.  The proof is recomputed on every call.
+    ``samples`` and ``rng`` are accepted and unused.
+    """
+    n = cmap.source.ns.rank + 2
+    red, pivots = _rref([row for group, _, _ in cmap._checks for row in group], n)
+    basis = []
+    for free in (j for j in range(n) if j not in pivots):
+        b = _unit(n, free, lcm(*(red[i][c] for i, c in enumerate(pivots))))
+        for i, c in enumerate(pivots):
+            b[c] = -red[i][free] * b[free] // red[i][c]
+        basis.append(b)
+    images = [_mul(cmap._rows, b) for b in basis]
+    g_images = [_gram_mul(cmap.target.ns._mrows, y) for y in images]
+    g_basis = [_gram_mul(cmap.source.ns._mrows, b) for b in basis]
+    d2 = cmap._den ** 2
+    return all(sum(map(mul, images[i], g_images[j])) == d2 * sum(map(mul, basis[i], g_basis[j]))
+               for i in range(len(basis)) for j in range(i + 1))

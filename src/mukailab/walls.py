@@ -14,14 +14,14 @@ Everything is enumerated exactly over a bounded coordinate box.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import ceil, floor, gcd, prod
 from operator import mul
 
+from ._record import record
 from .errors import PreconditionError
-from .lattice import (MukaiVector, NSClass, _gcd_many, _gram_mul, _ns_class,
+from .lattice import (MukaiVector, NSClass, _gcd_many, _gram_mul, _new,
                       chi_of, rat, twist)
 
 # Largest number of lattice points scanned for effective decompositions,
@@ -29,7 +29,7 @@ from .lattice import (MukaiVector, NSClass, _gcd_many, _gram_mul, _ns_class,
 MAX_WALL_WORK = 10 ** 6
 
 
-@dataclass(frozen=True)
+@record
 class TwistData:
     """Either a positive-rank twisting class G or a Q-divisor alpha, plus H."""
 
@@ -84,7 +84,7 @@ def slope_dim1(g, alpha, H):
 # Walls
 
 
-@dataclass(frozen=True)
+@record
 class Wall:
     """The rational hyperplane {alpha : normal . alpha = offset}.
 
@@ -154,7 +154,7 @@ def effective_decompositions(m, xi):
         if num == zero or num == xi.num:
             continue
         if all(0 <= a <= b for a, b in zip(_gram_mul(E, num), y_xi)):
-            out.append(_ns_class(lat, num, 1))
+            out.append(_new(NSClass, lat, num, 1))
     return out
 
 
@@ -231,13 +231,13 @@ def unique_hyperplanes(walls):
 # Chambers
 
 
-@dataclass(frozen=True)
+@record
 class Chamber:
     sign_vector: tuple
     sample_point: NSClass
 
 
-@dataclass(frozen=True)
+@record
 class OnWall:
     indices: tuple
 
@@ -251,7 +251,7 @@ def chamber_locate(alpha, walls):
     return Chamber(tuple("+" if x > 0 else "-" for x in values), alpha)
 
 
-@dataclass(frozen=True)
+@record
 class Crossing:
     t: Fraction
     index: int
@@ -289,7 +289,7 @@ def chamber_path(alpha, alpha2, walls):
 # Torsion-free wall parameter (flip parameter between moduli)
 
 
-@dataclass(frozen=True)
+@record
 class WallSolveResult:
     roots: tuple
     identical: bool = False

@@ -1,10 +1,13 @@
 """Shared builders and independent oracles used across the test modules."""
 
+import random
 from fractions import Fraction as F
 from math import comb, gcd
 
-from mukailab import (EllipticRelativeParams, elliptic_relative_map, k3_model,
-                      mukai_square, vector_stats)
+from mukailab import (EllipticRelativeParams, GammaTriple, MukaiVector,
+                      elliptic_relative_map, isotropic_coords, k3_model, mukai_pair,
+                      mukai_square, vector_of_gamma, vector_stats)
+from mukailab.lattice import random_mukai_vector
 
 
 def k3_with_perp(n):
@@ -33,6 +36,66 @@ def consistent_relative_map():
     chi_E0 = (1 - d * d - d * k + r * r) // r
     params = EllipticRelativeParams(r=r, chi_O_sigma=1, chi_F0_f=7)
     return m, elliptic_relative_map(m, params, d, k, chi_E0)
+
+
+def inconsistent_relative_map():
+    """The relative-kernel transform of consistent_relative_map with chi_E0
+    one too large, so d^2 + d k + r chi_E0 - r^2 = 4: not an isometry."""
+    m, cmap = consistent_relative_map()
+    p = cmap.params
+    return m, elliptic_relative_map(m, p["params"], p["d"], p["k"], p["chi_E0"] + 1)
+
+
+def isotropic_fm_formula(v, ctx):
+    """The isotropic transform from isotropic_coords in Fractions:
+    l omega' - a w1 + d (H_hat + ...) + (D_hat + ...), D_hat = hat(D)."""
+    co = isotropic_coords(v, ctx.v1, ctx.H, ctx.source)
+    r1 = ctx.w1.r
+    omega = MukaiVector(0, ctx.target.ns.zero(), 1)
+    D_hat = ctx.map_perp(co.D)
+    hpart = MukaiVector(0, ctx.H_hat, ctx.H_hat.dot(ctx.w1.c) / r1)
+    dpart = MukaiVector(0, D_hat, D_hat.dot(ctx.w1.c) / r1)
+    return omega.scale(co.l) - ctx.w1.scale(co.a) + hpart.scale(co.d) + dpart
+
+
+# --- the sampled isometry check: an oracle for the exact proof -------------
+
+
+def domain_sampler(cmap):
+    """rng -> a random rational vector in the domain of cmap (of its first
+    map, for a composite)."""
+    if cmap.kind == "composite":
+        return domain_sampler(cmap.params["maps"][0])
+    m = cmap.source
+    q = lambda rng: F(rng.randint(-6, 6), rng.randint(1, 4))
+    if cmap.kind == "elliptic_jacobian":
+        sigma, f = m.ns.named("sigma"), m.ns.named("f")
+
+        def draw(rng):
+            v = random_mukai_vector(m, rng)
+            # strip the sigma-component so that (c_1, f) = 0
+            return MukaiVector(v.r, v.c - sigma.scale(v.c.dot(f)), v.t)
+        return draw
+    if cmap.kind == "elliptic_relative":
+        p = cmap.params
+        r, sigma, f = p["params"].r, m.ns.named("sigma"), m.ns.named("f")
+        basis = [vector_of_gamma(g, m) for g in (
+            GammaTriple(r, sigma.scale(-p["d"]) + f.scale(p["k"]), p["chi_E0"]),
+            GammaTriple(0, f.scale(r), -p["d"]), GammaTriple(0, m.ns.zero(), 1))]
+        return lambda rng: sum((b.scale(q(rng)) for b in basis[1:]), basis[0].scale(q(rng)))
+    return lambda rng: random_mukai_vector(m, rng)
+
+
+def sampled_isometry(cmap, samples=1000, rng=None):
+    """Exact <Phi v, Phi w> = <v, w> on ``samples`` random rational pairs
+    from the domain: the check that check_isometry's proof replaced."""
+    rng = rng or random.Random(20201)
+    draw = domain_sampler(cmap)
+    for _ in range(samples):
+        v, w = draw(rng), draw(rng)
+        if mukai_pair(cmap.apply(v), cmap.apply(w)) != mukai_pair(v, w):
+            return False
+    return True
 
 
 def random_enriques_vector(m, rng):

@@ -251,3 +251,87 @@ def test_k3_epsilon_and_h1_documents(capsys, extra, code, marker):
     pair = '{"v": {"r": 0, "c": [0, 0], "t": 1}, "w": {"r": 1, "c": [0, 0], "t": 0}}'
     assert main(["pair", "--surface", json.dumps(dict(K3U, **extra)), "--in", pair]) == code
     assert capsys.readouterr().out.startswith(marker)
+
+
+@pytest.mark.parametrize("argv", [
+    ["pair", "--in", '{"v": {"r": 1, "c": [0, 0], "t": 0}, "w": {"r": 1, "c": [0, 0], "t": 0}}'],
+    ["transform", "--in", '{"map": {"kind": "identity"}, "vector": {"r": 1, "c": [0, 0], "t": 0}}'],
+    ["dims", "--in", '{"v": {"r": 1, "c": [0, 0], "t": 0}}'],
+    ["walls", "--box=-1,1;-1,1", "--in", '{"gamma": {"rank": 0, "c": [1, 2], "chi": 1}, "H": [1, 3]}'],
+])
+def test_ragged_gram_is_refused_as_not_square(capsys, argv):
+    ragged = dict(K3U, gram=[[0, 1], []])
+    assert main(argv[:1] + ["--surface", json.dumps(ragged)] + argv[1:]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.startswith("domain error [gram-not-square]")
+    assert "Traceback" not in captured.out + captured.err
+
+
+def _transform(capsys, mapdoc, surface=K3U):
+    doc = {"map": mapdoc, "vector": {"r": 3, "c": [1, 2], "t": "1/2"}}
+    code = main(["transform", "--surface", json.dumps(surface), "--in", json.dumps(doc)])
+    return code, capsys.readouterr().out
+
+
+ELLIPTIC_K3 = {"kind": "k3", "gram": [[-2, 1], [1, 0]], "basis": ["sigma", "f"],
+               "polarization": [1, 3]}
+RELATIVE = {"r": 3, "d": 2, "k": 3, "chi_E0": 0}
+
+
+@pytest.mark.parametrize("argv", [
+    ["reduce", "--kind", "elliptic-jacobian", "--in", '{"r": 5.5, "d": 2}'],
+    ["reduce", "--kind", "elliptic-jacobian", "--in", '{"r": true, "d": 2}'],
+    ["reduce", "--kind", "elliptic-jacobian", "--in", '{"r": 5, "d": false}'],
+    ["reduce", "--kind", "rank-one", "--surface", json.dumps(K3U),
+     "--in", '{"l": 1, "r": 2, "c1": [1, 0], "a": 0.5}'],
+    ["partition", "--in", '{"r": 3.5}'],
+])
+def test_non_integral_or_bool_integers_are_parse_errors(capsys, argv):
+    assert main(argv) == 2
+    assert capsys.readouterr().out.startswith("parse error: bad integer")
+
+
+def test_integral_integers_keep_working(capsys):
+    outs = []
+    for doc in ('{"r": 5, "d": 2}', '{"r": 5.0, "d": 2}', '{"r": "5", "d": "2"}'):
+        assert main(["reduce", "--kind", "elliptic-jacobian", "--in", doc]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] == outs[2]
+
+
+@pytest.mark.parametrize("mapdoc,surface", [
+    ({"kind": "cor_ext", "params": {"k": 2.5}}, K3U),
+    ({"kind": "cor_ext", "params": {"k": True}}, K3U),
+    ({"kind": "twist", "params": {"D": [1, 0], "sign": True}}, K3U),
+    ({"kind": "twist", "params": {"D": [1, 0], "sign": 0.5}}, K3U),
+    ({"kind": "twist", "params": [1, 0]}, K3U),
+    ({"kind": "enriques_reflection", "params": [1]}, {"kind": "enriques"}),
+    ({"kind": "elliptic_relative", "params": dict(RELATIVE, r=True)}, ELLIPTIC_K3),
+    ({"kind": "elliptic_relative", "params": dict(RELATIVE, chi_E0=0.5)}, ELLIPTIC_K3),
+    ({"kind": "elliptic_relative", "params": dict(RELATIVE, chi_F0_f=False)}, ELLIPTIC_K3),
+])
+def test_strict_integers_in_transform_documents(capsys, mapdoc, surface):
+    code, out = _transform(capsys, mapdoc, surface)
+    assert code == 2 and out.startswith("parse error: ")
+
+
+def test_transform_sign_is_the_integer_one_or_minus_one(capsys):
+    twist = {"kind": "twist", "params": {"D": [1, 0]}}
+    code, plain = _transform(capsys, dict(twist, params={"D": [1, 0], "sign": 1}))
+    assert code == 0 and json.loads(plain)["sign"] == 1
+    code, out = _transform(capsys, dict(twist, params={"D": [1, 0], "sign": 1.0}))
+    assert code == 0 and out == plain and '"sign": 1,' in out
+    code, out = _transform(capsys, dict(twist, params={"D": [1, 0], "sign": -1.0}))
+    assert code == 0 and json.loads(out)["sign"] == -1
+    code, out = _transform(capsys, dict(twist, params={"D": [1, 0], "sign": 2}))
+    assert code == 1 and out.startswith("domain error [bad-sign]")
+
+
+@pytest.mark.parametrize("extra", [["kind", "enriques"], "r", 3])
+def test_non_object_extra_is_parse_error(extra):
+    for sub in ("partition", "reduce", "pair"):
+        code, out = run_job(JobSpec(sub, extra=extra))
+        assert code == 2 and out.startswith("parse error: extra must be a JSON object")
+    from mukailab.cli import _job_from_doc
+    job = _job_from_doc({"subcommand": "reduce", "inputs": {"r": 5, "d": 2}, "extra": extra})
+    assert run_job(job) == (2, "parse error: extra must be a JSON object\n")

@@ -1,10 +1,13 @@
+import copy
 import pickle
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
 
-from mukailab import (LatticeMismatchError, NSLattice, PreconditionError,
-                      SurfaceModel, chi_of, dual, elliptic_model, enriques_lattice,
+from mukailab import (GammaTriple, LatticeMismatchError, MukaiVector,
+                      NSLattice, PreconditionError, SurfaceModel, Wall, chi_of, dual, elliptic_model, enriques_lattice,
                       exp_class, gamma_of, hyperbolic_lattice, k3_model,
                       mukai_mul, mukai_pair, mukai_square, twist,
                       vector_of_gamma, vector_stats)
@@ -214,6 +217,69 @@ def test_class_canonical_form(k3_u):
     with pytest.raises(AttributeError):
         half.num = (0, 0)
     assert pickle.loads(pickle.dumps(half)) == half
+
+
+def test_vector_integer_canonical_form(k3_u, enriques):
+    lat = k3_u.ns
+    v = k3_u.vector(F(1, 2), (F(1, 3), 1), F(5, 6))
+    assert (v.num, v.den) == ((3, 2, 6, 5), 6)
+    assert (v.r, v.c, v.t) == (F(1, 2), lat.cls((F(1, 3), 1)), F(5, 6))
+    # built from Fraction triples in any presentation: equal and hashing alike
+    same = MukaiVector(F(3, 6), lat.cls((F(2, 6), F(4, 4))), "5/6")
+    assert same == v and hash(same) == hash(v)
+    assert v.scale(6) == k3_u.vector(3, (2, 6), 5) and v.scale(6).den == 1
+    zero = v - same
+    assert zero.is_zero() and (zero.num, zero.den) == ((0, 0, 0, 0), 1)
+    assert v.scale(0) == k3_u.zero_vector() and v.scale(0).den == 1
+    assert (-v).den == 6 and -(-v) == v and v + (-v) == k3_u.zero_vector()
+    assert v != GammaTriple(v.r, v.c, v.t) and v != (v.r, v.c, v.t)
+    assert {v: 1}[same] == 1
+    # the half-integral omega coefficient of v(O) on an Enriques surface
+    o = enriques.structure_sheaf_vector()
+    assert (o.num[0], o.num[-1], o.den) == (2, 1, 2) and not any(o.num[1:-1])
+    assert repr(v) == "MukaiVector(r=%r, c=%r, t=%r)" % (v.r, v.c, v.t)
+
+
+def test_vector_immutable_and_pickles(k3_u):
+    v = k3_u.vector(F(1, 2), (F(1, 3), 1), F(5, 6))
+    g = GammaTriple(2, k3_u.cls((1, F(1, 2))), F(7, 3))
+    for x in (v, g):
+        with pytest.raises(AttributeError):
+            x.num = (0,) * 4
+        with pytest.raises(AttributeError):
+            x.den = 1
+        with pytest.raises(AttributeError):
+            del x.num
+        back = pickle.loads(pickle.dumps(x))
+        assert back == x and hash(back) == hash(x) and type(back) is type(x)
+    with pytest.raises(AttributeError):
+        v.r = 1
+    assert (g.rank, g.chi) == (2, F(7, 3)) and g.c == k3_u.cls((1, F(1, 2)))
+
+
+def test_import_footprint_stays_small():
+    # dataclasses pulls in inspect, ast and dis (about 1 MB resident);
+    # argparse is loaded only when cli.main builds its parser
+    code = ("import sys, mukailab, mukailab.cli; "
+            "print(sorted({'dataclasses', 'inspect', 'argparse'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True).stdout
+    assert out.strip() == "[]"
+
+
+def test_records_compare_hash_refuse_assignment_and_replace(k3_u):
+    from mukailab.lattice import replace
+    w = Wall((3, -1), -7, k3_u.cls((0, 2)), -3)
+    assert w == Wall((3, -1), -7, k3_u.cls((0, 2)), -3) and hash(w) == hash(copy.copy(w))
+    assert w != Wall((3, -1), -6, k3_u.cls((0, 2)), -3) and w != (3, -1)
+    assert repr(w).startswith("Wall(normal=(3, -1), offset=-7, D=NSClass(")
+    with pytest.raises(AttributeError):
+        w.n = 0
+    m = replace(k3_u, polarization=k3_u.cls((1, 2)))
+    assert m.polarization == k3_u.cls((1, 2)) and m.ns is k3_u.ns and m != k3_u
+    with pytest.raises(PreconditionError):
+        replace(k3_u, kind="surface")
+    assert pickle.loads(pickle.dumps(m)) == m
 
 
 def test_class_lattice_checks(k3_u, enriques):

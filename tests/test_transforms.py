@@ -1,9 +1,11 @@
+import random
 from fractions import Fraction as F
 
 import pytest
 
 from mukailab import (EllipticRelativeParams, GammaTriple, IsotropicContext,
-                      PreconditionError, chi_of, check_isometry, compose,
+                      LatticeMismatchError, PreconditionError, chi_of,
+                      check_isometry, compose,
                       cor_ext_context, cor_ext_map, dual,
                       elliptic_jacobian_fm, elliptic_jacobian_inverse,
                       elliptic_jacobian_map, elliptic_relative_fm,
@@ -11,10 +13,12 @@ from mukailab import (EllipticRelativeParams, GammaTriple, IsotropicContext,
                       enriques_reflection_map, fm_preconditions, identity_map,
                       isotropic_coords, isotropic_fm, isotropic_fm_map,
                       isotropic_reconstruct, k3_model, mukai_pair,
-                      mukai_square, twist_map)
+                      mukai_square, twist_map, vector_of_gamma)
 from mukailab.lattice import random_mukai_vector
 
-from helpers import consistent_relative_map, elliptic_k3
+from helpers import (consistent_relative_map, domain_sampler, elliptic_k3,
+                     inconsistent_relative_map, isotropic_fm_formula,
+                     sampled_isometry)
 
 
 
@@ -234,3 +238,133 @@ def test_isometry_elliptic_jacobian(rng):
 
 def test_isometry_reflection(enriques, rng):
     assert check_isometry(enriques_reflection_map(enriques), 300, rng)
+
+
+# --- matrices against the defining formulas --------------------------------
+
+
+def _hat_negation_context(k3_u):
+    """H = e + f on U with the hat map D -> -D, an isometry of H-perp."""
+    v1 = k3_u.vector(2, (1, 2), 1)
+    w1 = k3_u.vector(2, (2, 1), 1)
+    H = k3_u.cls((1, 1))
+    return IsotropicContext(k3_u, k3_u, v1, w1, H, H, hat_map=lambda D: -D)
+
+
+def test_isotropic_matrix_matches_formula(k3_u, abelian_u, rng):
+    contexts = [cor_ext_context(abelian_u, 3), _hat_negation_context(k3_u),
+                IsotropicContext(k3_u, k3_u, k3_u.vector(1, (0, 0), 0),
+                                 k3_u.vector(1, (1, -1), -1), k3_u.cls((1, 2)),
+                                 k3_u.cls((2, 1)), hat_map=lambda D: k3_u.cls(
+                                     (-D.coords[1], -D.coords[0])))]
+    for ctx in contexts:
+        for sign in (1, -1):
+            cmap = isotropic_fm_map(ctx, sign=sign)
+            for _ in range(50):
+                v = random_mukai_vector(ctx.source, rng)
+                assert cmap.apply(v) == isotropic_fm_formula(v, ctx).scale(sign)
+
+
+def test_elliptic_matrices_match_formulas(rng):
+    m = elliptic_k3(extra_rank=1)
+    sigma, f = m.ns.named("sigma"), m.ns.named("f")
+    jac = elliptic_jacobian_map(m)
+    for _ in range(50):
+        v = domain_sampler(jac)(rng)
+        l = v.c.dot(sigma)
+        g = elliptic_jacobian_fm(v.r, l, v.c - f.scale(l), 2 * v.r - chi_of(v, m), m)
+        assert jac.apply(v) == vector_of_gamma(g, m)
+    m, rel = consistent_relative_map()
+    p = rel.params
+    for _ in range(50):
+        a, b, c = (F(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(3))
+        E0 = vector_of_gamma(GammaTriple(3, m.ns.named("sigma").scale(-p["d"])
+                                         + m.ns.named("f").scale(p["k"]), p["chi_E0"]), m)
+        E0f = vector_of_gamma(GammaTriple(0, m.ns.named("f").scale(3), -p["d"]), m)
+        v = E0.scale(a) + E0f.scale(b) + m.omega().scale(c)
+        assert rel.apply(v) == vector_of_gamma(elliptic_relative_fm(a, b, c, p["params"], m), m)
+
+
+# --- the exact isometry proof against the sampled oracle -------------------
+
+
+def _every_kind(k3_u, abelian_u, enriques):
+    ek3 = elliptic_k3(extra_rank=1)
+    v0 = enriques.vector(1, enriques.cls([0, 0, 1] + [0] * 7), F(-1, 2))
+    return {
+        "identity": identity_map(abelian_u),
+        "twist": twist_map(abelian_u, abelian_u.cls((F(3, 2), -2))),
+        "twist-sign": twist_map(k3_u, k3_u.cls((2, F(-1, 3))), sign=-1),
+        "enriques_reflection": enriques_reflection_map(enriques),
+        "enriques_reflection-v0": enriques_reflection_map(enriques, v0),
+        "isotropic_fm": cor_ext_map(abelian_u, 2),
+        "isotropic_fm-hat": isotropic_fm_map(_hat_negation_context(k3_u)),
+        "elliptic_jacobian": elliptic_jacobian_map(ek3),
+        "elliptic_relative": consistent_relative_map()[1],
+        "composite": compose([twist_map(abelian_u, abelian_u.cls((1, 0))),
+                              cor_ext_map(abelian_u, 3)]),
+        "composite-relative": compose([consistent_relative_map()[1],
+                                       twist_map(elliptic_k3(), elliptic_k3().cls((0, 1)))]),
+    }
+
+
+def test_exact_proof_agrees_with_sampled_oracle(k3_u, abelian_u, enriques, rng):
+    for name, cmap in _every_kind(k3_u, abelian_u, enriques).items():
+        assert check_isometry(cmap) is True, name
+        assert sampled_isometry(cmap, 60, rng) is True, name
+
+
+def test_non_isometry_is_refused_by_both():
+    _, cmap = inconsistent_relative_map()
+    assert check_isometry(cmap) is False
+    assert sampled_isometry(cmap, 60) is False
+    # the proof needs no samples, and never draws from the generator
+    rng = random.Random(5)
+    state = rng.getstate()
+    assert check_isometry(cmap, 0, rng) is False
+    assert check_isometry(compose([cmap, identity_map(cmap.target)]), 0) is False
+    assert rng.getstate() == state
+
+
+# --- domain constraints ------------------------------------------------------
+
+
+def test_out_of_domain_raises_directly_and_through_compose():
+    m = elliptic_k3()
+    sigma = m.ns.named("sigma")
+    jac = elliptic_jacobian_map(m)
+    off = m.vector(1, (1, 0), 0)                     # (c_1, f) = 1
+    on = m.vector(1, (0, 2), 0)                      # (c_1, f) = 0
+    out_of_jacobian = twist_map(m, sigma)            # sends `on` off the domain
+    cases = [(jac, off), (compose([jac, identity_map(m)]), off),
+             (compose([identity_map(m), jac]), off), (compose([out_of_jacobian, jac]), on)]
+    for cmap, v in cases:
+        with pytest.raises(PreconditionError) as err:
+            cmap.apply(v)
+        assert err.value.precondition == "relative-degree"
+    assert compose([jac, out_of_jacobian]).apply(on) == out_of_jacobian.apply(jac.apply(on))
+    _, rel = consistent_relative_map()
+    outside = rel.source.vector(0, (1, 0), 0)
+    for cmap in (rel, compose([rel, twist_map(rel.target, sigma)]),
+                 compose([twist_map(rel.source, rel.source.ns.zero()), rel])):
+        with pytest.raises(PreconditionError) as err:
+            cmap.apply(outside)
+        assert err.value.precondition == "outside-span"
+
+
+def test_jacobian_keeps_the_fiber_perp_check_on_other_fibrations():
+    # (sigma, f) = 2: with (c, f) = 0, D = c - (c, sigma) f is fiber-perp
+    # only when (c, sigma) = 0, as elliptic_jacobian_fm demands
+    m = k3_model(gram=((-2, 2), (2, 0)), names=("sigma", "f"), polarization=(1, 3))
+    jac = elliptic_jacobian_map(m)
+    with pytest.raises(PreconditionError) as err:
+        jac.apply(m.vector(1, (0, 1), 0))
+    assert err.value.precondition == "not-fiber-perp"
+    v = m.vector(2, (0, 0), 3)
+    g = elliptic_jacobian_fm(v.r, 0, m.ns.zero(), 2 * v.r - chi_of(v, m), m)
+    assert jac.apply(v) == vector_of_gamma(g, m)
+
+
+def test_apply_refuses_a_vector_on_another_lattice(k3_u, enriques):
+    with pytest.raises(LatticeMismatchError):
+        identity_map(k3_u).apply(enriques.unit())
