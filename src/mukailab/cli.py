@@ -217,9 +217,8 @@ def _run_partition(job):
         tuple((0, 0) for _ in range(lat.rank))
     if any(x.denominator != 1 for bounds in box for x in bounds):
         raise ParseError("partition box bounds must be integers")
-    terms = partition_mod.hecke_zr(r, lat, job.order, box)
-    rows = []
-    docs = []
+    terms = partition_mod.hecke_zr(r, lat, parse_rational(job.order), box)
+    rows, docs = [], []
     for t in terms:
         rows.append([fmt_rational(t.hol_scalar), ",".join(str(x) for x in t.xi),
                      fmt_rational(t.pos_coef), fmt_rational(t.coeff)])

@@ -94,7 +94,7 @@ def parse_surface(doc):
         kind = doc["kind"]
         if kind == "enriques" and "gram" not in doc:
             return enriques_model(doc.get("polarization"))
-        gram = tuple(tuple(int(x) for x in row) for row in doc["gram"])
+        gram = tuple(tuple(parse_int(x, "gram") for x in row) for row in doc["gram"])
         names = tuple(doc.get("basis", ["b%d" % i for i in range(len(gram))]))
         lat = NSLattice(gram, names)
         pol = lat.cls([parse_rational(x) for x in doc["polarization"]])
@@ -147,7 +147,7 @@ def parse_gamma(doc, m):
 def parse_laurent(doc):
     """LaurentPoly from {"terms": [[i, j, coeff], ...]}."""
     try:
-        return LaurentPoly({(int(i), int(j)): parse_rational(c)
+        return LaurentPoly({(parse_int(i, "terms"), parse_int(j, "terms")): parse_rational(c)
                             for i, j, c in doc["terms"]})
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError("bad Laurent polynomial: %s" % exc) from exc

@@ -14,12 +14,19 @@ The Hecke transform of order r (odd) averages over the coset data (a, b, d):
 tau -> (a tau + 2b)/d rescales both tagged exponents by a/d and multiplies
 each term by the exact root of unity e^{2 pi i (2b/d) ((n-1/2)+Q(xi^2)/2)};
 summation over b is the divisibility filter d | 2n-1+Q(xi^2).
+
+Terms are computed on integers.  A function reads a term list once, with
+its exponents and phases over one common denominator for the list (the
+coefficients over another), carries a transformed phase as an integer
+modulo the transformed denominator, and builds the output Fractions once
+per distinct value.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
+from operator import mul
 
 from ._record import record
 from .errors import PreconditionError
@@ -57,35 +64,53 @@ class PartitionTerm:
 
 def q_form(lat, xi):
     """Q(xi^2) = -(xi . xi): positive definite on the 9-dimensional part."""
-    return -lat.pair_coords(xi, xi)
+    return -sum(map(mul, xi, lat.gram_mul(xi)))
 
 
-_ZERO = Fraction(0)
+class _Fractions(dict):
+    """k -> Fraction(k, den), each distinct value built on its first lookup."""
+
+    def __init__(self, den):
+        self.den = den
+
+    def __missing__(self, k):
+        f = self[k] = Fraction(k, self.den)
+        return f
+
+
+def _read_terms(terms):
+    """A term list as integers: (den, cden, rows), one row (xi, C, H, P, N,
+    x_scale, Ph, coeff) per term.  The exponents H, P, N and the phase Ph
+    are over den, the coefficient C over cden (the least common
+    denominators of the list); coeff is the term's own coefficient."""
+    parts = [(t.xi, t.coeff, t.x_scale, t.coeff.as_integer_ratio(),
+              t.hol_scalar.as_integer_ratio(), t.pos_coef.as_integer_ratio(),
+              t.neg_coef.as_integer_ratio(), t.phase.as_integer_ratio()) for t in terms]
+    den = lcm(*{d for row in parts for _, d in row[4:]})
+    cden = lcm(*{row[3][1] for row in parts})
+    return den, cden, [(xi, cn * (cden // cd), hn * (den // hd), pn * (den // pd),
+                        nn * (den // nd), xs, phn * (den // phd), c)
+                       for xi, c, xs, (cn, cd), (hn, hd), (pn, pd), (nn, nd), (phn, phd) in parts]
+
+
+def _sorted_terms(acc, den, cden):
+    """The terms of {(H, xi, P, x_scale, Ph, N): C} with nonzero C, sorted
+    stably on (H, xi, P, x_scale, Ph), as Fractions over den and cden."""
+    frac, coeff = _Fractions(den), _Fractions(cden)
+    return [PartitionTerm(xi, coeff[c], frac[h], frac[p], frac[n], xs, frac[ph])
+            for (h, xi, p, xs, ph, n), c in sorted(acc.items(), key=lambda kc: kc[0][:5]) if c]
 
 
 def merge_terms(terms):
     """Sum the coefficients of equal terms, drop zero sums and sort by
-    exponent.  Terms are keyed on the integer parts of their Fractions,
-    which hash far faster than the Fractions themselves."""
+    exponent, in one dict pass on the integer rows of ``_read_terms``."""
+    den, cden, rows = _read_terms(terms)
     acc = {}
-    for t in terms:
-        hol, ph = t.hol_scalar, t.phase
-        if any(t.xi):
-            pos, neg, xs = t.pos_coef, t.neg_coef, t.x_scale
-        else:
-            # split tags and the elliptic scaling are vacuous on xi = 0
-            pos, neg, xs = _ZERO, _ZERO, 1
-        key = (t.xi, hol.numerator, hol.denominator, pos.numerator, pos.denominator,
-               neg.numerator, neg.denominator, xs, ph.numerator, ph.denominator)
-        slot = acc.get(key)
-        if slot is None:
-            acc[key] = [_ZERO + t.coeff, hol, pos, neg, xs, ph]
-        else:
-            slot[0] += t.coeff
-    out = [PartitionTerm(key[0], c, hol, pos, neg, xs, ph)
-           for key, (c, hol, pos, neg, xs, ph) in acc.items() if c]
-    out.sort(key=lambda t: (t.hol_scalar, t.xi, t.pos_coef, t.x_scale, t.phase))
-    return out
+    for xi, c, h, p, n, xs, ph, _ in rows:
+        # split tags and the elliptic scaling are vacuous on xi = 0
+        key = (h, xi, p, xs, ph, n) if any(xi) else (h, xi, 0, 1, ph, 0)
+        acc[key] = acc.get(key, 0) + c
+    return _sorted_terms(acc, den, cden)
 
 
 def lattice_box_vectors(lat, box):
@@ -109,27 +134,23 @@ def _block_terms(lat, box, blocks, scale):
     for every box vector xi and every level n <= n_max of a block with
     d | 2n - 1 + Q(xi^2): scale/2 times ``hecke_block_sum`` of
     ``partition_z1``, summed over the blocks and merged.  Exponents are
-    integers over the one scale 2 lcm(d), so sorting the integer keys gives
-    the order of ``merge_terms``; Fractions are built once per distinct
-    exponent.  Refuses work above MAX_PARTITION_WORK before enumerating.
+    integers over 2 lcm(d), so sorting the integer keys gives the order of
+    ``merge_terms``.  Refuses work above MAX_PARTITION_WORK before enumerating.
     """
     if not blocks:
         return []
     top = max(n for _, _, n in blocks)
     if len(box) == lat.rank:
-        points = 1
-        for lo, hi in box:
-            points *= max(0, int(hi) - int(lo) + 1)
+        points = prod(max(0, int(hi) - int(lo) + 1) for lo, hi in box)
         if (points + top + 1) * (top + 1) > MAX_PARTITION_WORK:
-            raise PreconditionError(
-                "partition-too-large",
-                "%d box vectors at %d levels exceed %d" % (points, top + 1, MAX_PARTITION_WORK))
+            raise PreconditionError("partition-too-large", "(box vectors + levels) x levels"
+                                    " exceeds %d" % MAX_PARTITION_WORK)
     vectors = lattice_box_vectors(lat, box)
     euler = euler_hilb(ENRIQUES_EULER, top)
     L = lcm(*(d for _, d, _ in blocks))
     acc = {}
     for xi in vectors:
-        qv = -sum(x * g for x, g in zip(xi, lat.gram_mul(xi)))      # Q(xi^2)
+        qv = q_form(lat, xi)
         nonzero = any(xi)
         for a, d, n_max in blocks:
             m = a * (L // d)
@@ -139,18 +160,9 @@ def _block_terms(lat, box, blocks, scale):
                     continue
                 key = ((2 * n - 1) * m, xi, pos, xs)
                 acc[key] = acc.get(key, 0) + d * d * euler[n]
-    den = 2 * L
-    fracs = {}
-
-    def frac(k):
-        f = fracs.get(k)
-        if f is None:
-            f = fracs[k] = Fraction(k, den)
-        return f
-
-    num, sden = scale.numerator, scale.denominator
-    return [PartitionTerm(xi, Fraction(num * c, sden), frac(hol), frac(pos), frac(-pos),
-                          x_scale=xs)
+    frac, coeff = _Fractions(2 * L), _Fractions(scale.denominator)
+    num = scale.numerator
+    return [PartitionTerm(xi, coeff[num * c], frac[hol], frac[pos], frac[-pos], xs)
             for (hol, xi, pos, xs), c in sorted(acc.items())]
 
 
@@ -163,18 +175,21 @@ def partition_z1(lat, n_max, box):
     return _block_terms(lat, box, [(1, 1, n_max)], Fraction(2))
 
 
-def _phase_units(term, lat, q_memo):
-    """2 * (holomorphic - antiholomorphic exponent): an exact integer."""
-    if term.pos_coef != -term.neg_coef:
-        raise PreconditionError("tagged-exponents",
-                                "terms must carry opposite split tags")
-    qv = q_memo.get(term.xi)
-    if qv is None:
-        qv = q_memo[term.xi] = q_form(lat, term.xi)
-    val = 2 * (term.hol_scalar + term.pos_coef * qv)
-    if val.denominator != 1:
-        raise PreconditionError("non-integral-phase")
-    return val.numerator
+def _phase_units(rows, den, lat):
+    """2 * (holomorphic - antiholomorphic exponent) of each row of
+    ``_read_terms``, an exact integer, yielded term by term."""
+    q_memo = {}
+    for xi, _, h, p, n, *_ in rows:
+        if p != -n:
+            raise PreconditionError("tagged-exponents",
+                                    "terms must carry opposite split tags")
+        qv = q_memo.get(xi)
+        if qv is None:
+            qv = q_memo[xi] = q_form(lat, xi)
+        u, rem = divmod(2 * (h + p * qv), den)
+        if rem:
+            raise PreconditionError("non-integral-phase")
+        yield u
 
 
 def hecke_coset_transform(terms, coset, lat):
@@ -182,38 +197,32 @@ def hecke_coset_transform(terms, coset, lat):
 
     Exponents rescale by a/d; each term picks up the exact root of unity
     e^{2 pi i (2b/d) E} with E the term's pre-transform exponent value.
+    Over D = den d the phase is the integer (phase d + b units den) mod D.
     """
     a, b, d = coset
-    scale = Fraction(a, d)
-    q_memo = {}
-    out = []
-    for t in terms:
-        units = _phase_units(t, lat, q_memo)
-        phase = (t.phase + Fraction(b * units, d)) % 1
-        out.append(PartitionTerm(t.xi, t.coeff, scale * t.hol_scalar,
-                                 scale * t.pos_coef, scale * t.neg_coef,
-                                 x_scale=a * t.x_scale, phase=phase))
-    return out
+    den, _, rows = _read_terms(terms)
+    D = den * d
+    frac = _Fractions(D)
+    return [PartitionTerm(xi, c, frac[h * a], frac[p * a], frac[n * a], a * xs,
+                          frac[(ph * d + b * u * den) % D])
+            for (xi, _, h, p, n, xs, ph, c), u in zip(rows, _phase_units(rows, den, lat))]
 
 
 def hecke_block_sum(terms, a, d, lat):
     """sum_{0 <= b < d} d * (coset (a, b, d) transform), with the b-sum
     evaluated exactly: a term survives iff d divides its doubled exponent,
     contributing an extra factor d."""
-    scale = Fraction(a, d)
-    q_memo = {}
-    out = []
-    for t in terms:
-        units = _phase_units(t, lat, q_memo)
-        if t.phase != 0:
+    den, cden, rows = _read_terms(terms)
+    m, D = (a, den * d) if d > 0 else (-a, -den * d)      # keys sort like values over D > 0
+    acc = {}
+    for (xi, c, h, p, n, xs, ph, _), u in zip(rows, _phase_units(rows, den, lat)):
+        if ph:
             raise PreconditionError("phase-collision",
                                     "block sum expects untransformed input terms")
-        if units % d:
-            continue
-        out.append(PartitionTerm(t.xi, t.coeff * d * d, scale * t.hol_scalar,
-                                 scale * t.pos_coef, scale * t.neg_coef,
-                                 x_scale=a * t.x_scale))
-    return merge_terms(out)
+        if u % d == 0:
+            key = (h * m, xi, p * m, a * xs, 0, n * m) if any(xi) else (h * m, xi, 0, 1, 0, 0)
+            acc[key] = acc.get(key, 0) + c * d * d
+    return _sorted_terms(acc, D, cden)
 
 
 def hecke_zr(r, lat, order, box):
@@ -230,16 +239,11 @@ def hecke_zr(r, lat, order, box):
         raise PreconditionError("even-r")
     if r > MAX_PARTITION_WORK:
         raise PreconditionError("partition-too-large",
-                                "Hecke order %d exceeds %d" % (r, MAX_PARTITION_WORK))
-    order = rat(order)
-    blocks = []
-    for d in range(1, r + 1):
-        if r % d:
-            continue
-        a = r // d
-        n_block = (order * d / a) + Fraction(1, 2)
-        if n_block >= 0:
-            blocks.append((a, d, int(n_block)))
+                                "Hecke order r exceeds %d" % MAX_PARTITION_WORK)
+    p, q = rat(order).as_integer_ratio()
+    # block (a, d) = (r/d, d) takes the levels n <= order d/a + 1/2 = (2pd + qa)/2qa
+    blocks = [(r // d, d, (2 * p * d + q * (r // d)) // (2 * q * (r // d)))
+              for d in range(1, r + 1) if r % d == 0 and 2 * p * d + q * (r // d) >= 0]
     return _block_terms(lat, box, blocks, Fraction(2, r * r))
 
 
@@ -267,23 +271,16 @@ def multiplicity_chi(v, m, per_determinant=False):
         raise PreconditionError("surface-kind")
     if v.r.denominator != 1 or v.r <= 0 or v.r.numerator % 2 == 0:
         raise PreconditionError("even-rank", "rank must be odd and positive")
-    stats = vector_stats(v, m)
-    total = Fraction(0)
+    mult = vector_stats(v, m).multiplicity
     needed = []
-    for a in range(1, stats.multiplicity + 1):
-        if stats.multiplicity % a:
+    for a in range(1, mult + 1):
+        if mult % a:
             continue
-        w = v.scale(Fraction(1, a))
-        sq = mukai_square(w)
-        if sq < -1:
-            continue
-        n2 = sq + 1
-        if n2 % 2:
-            raise PreconditionError("odd-square", "<w^2> must be odd on this lattice")
-        needed.append((a, int(n2 // 2)))
-    if not needed:
-        return total
-    euler = euler_hilb(ENRIQUES_EULER, max(n for _, n in needed))
-    for a, n in needed:
-        total += Fraction(2, a * a) * euler[n]
+        sq = mukai_square(v.scale(Fraction(1, a)))
+        if sq >= -1:
+            if (sq + 1) % 2:
+                raise PreconditionError("odd-square", "<w^2> must be odd on this lattice")
+            needed.append((a, int((sq + 1) // 2)))
+    euler = euler_hilb(ENRIQUES_EULER, max((n for _, n in needed), default=0))
+    total = sum((Fraction(2, a * a) * euler[n] for a, n in needed), Fraction(0))
     return total / 2 if per_determinant else total

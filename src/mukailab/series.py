@@ -215,13 +215,17 @@ class QSeries:
 
 
 def e_gl(N):
-    """Virtual Hodge polynomial of GL(N): prod_{i<N} ((xy)^N - (xy)^i)."""
+    """Virtual Hodge polynomial of GL(N): prod_{i<N} ((xy)^N - (xy)^i),
+    expanded as an integer coefficient list in t = xy, one factor at a time."""
     if N < 1:
         raise PreconditionError("gl-rank", "N must be >= 1")
-    out = LaurentPoly.one()
+    coeffs = [1]
     for i in range(N):
-        out = out * (LaurentPoly.xy(N) - LaurentPoly.xy(i))
-    return out
+        out = [0] * N + coeffs                  # t^N * coeffs
+        for k, c in enumerate(coeffs, i):
+            out[k] -= c                         # - t^i * coeffs
+        coeffs = out
+    return LaurentPoly({(k, k): c for k, c in enumerate(coeffs) if c})
 
 
 def _divisor_sums(n_max):

@@ -267,6 +267,83 @@ def composed_hecke_zr(r, lat, order, box):
                                       t.neg_coef, t.x_scale, t.phase) for t in blocks])
 
 
+# --- partition and e(GL(N)) oracles: the former per-term Fraction code -----
+
+
+def fraction_merge_terms(terms):
+    """merge_terms on Fractions: keyed on each field's numerator and
+    denominator, the first-seen fields kept, sorted stably by exponent."""
+    from mukailab import PartitionTerm
+    acc = {}
+    for t in terms:
+        hol, ph = t.hol_scalar, t.phase
+        if any(t.xi):
+            pos, neg, xs = t.pos_coef, t.neg_coef, t.x_scale
+        else:
+            pos, neg, xs = F(0), F(0), 1
+        key = (t.xi, hol.numerator, hol.denominator, pos.numerator, pos.denominator,
+               neg.numerator, neg.denominator, xs, ph.numerator, ph.denominator)
+        slot = acc.get(key)
+        if slot is None:
+            acc[key] = [F(0) + t.coeff, hol, pos, neg, xs, ph]
+        else:
+            slot[0] += t.coeff
+    out = [PartitionTerm(key[0], c, hol, pos, neg, xs, ph)
+           for key, (c, hol, pos, neg, xs, ph) in acc.items() if c]
+    out.sort(key=lambda t: (t.hol_scalar, t.xi, t.pos_coef, t.x_scale, t.phase))
+    return out
+
+
+def fraction_phase_units(term, lat):
+    """2 * (holomorphic - antiholomorphic exponent), with the refusals."""
+    from mukailab import PreconditionError, q_form
+    if term.pos_coef != -term.neg_coef:
+        raise PreconditionError("tagged-exponents", "terms must carry opposite split tags")
+    val = 2 * (term.hol_scalar + term.pos_coef * F(q_form(lat, term.xi)))
+    if val.denominator != 1:
+        raise PreconditionError("non-integral-phase")
+    return val.numerator
+
+
+def fraction_hecke_coset_transform(terms, coset, lat):
+    """hecke_coset_transform with every exponent and phase a Fraction product."""
+    from mukailab import PartitionTerm
+    a, b, d = coset
+    scale = F(a, d)
+    out = []
+    for t in terms:
+        phase = (t.phase + F(b * fraction_phase_units(t, lat), d)) % 1
+        out.append(PartitionTerm(t.xi, t.coeff, scale * t.hol_scalar, scale * t.pos_coef,
+                                 scale * t.neg_coef, x_scale=a * t.x_scale, phase=phase))
+    return out
+
+
+def fraction_hecke_block_sum(terms, a, d, lat):
+    """hecke_block_sum as Fraction products of each kept term, then merged."""
+    from mukailab import PartitionTerm, PreconditionError
+    scale = F(a, d)
+    out = []
+    for t in terms:
+        units = fraction_phase_units(t, lat)
+        if t.phase != 0:
+            raise PreconditionError("phase-collision",
+                                    "block sum expects untransformed input terms")
+        if units % d:
+            continue
+        out.append(PartitionTerm(t.xi, t.coeff * d * d, scale * t.hol_scalar,
+                                 scale * t.pos_coef, scale * t.neg_coef, x_scale=a * t.x_scale))
+    return fraction_merge_terms(out)
+
+
+def product_e_gl(N):
+    """prod_{i<N} ((xy)^N - (xy)^i), one LaurentPoly binomial at a time."""
+    from mukailab.series import LaurentPoly
+    out = LaurentPoly.one()
+    for i in range(N):
+        out = out * (LaurentPoly.xy(N) - LaurentPoly.xy(i))
+    return out
+
+
 # --- cone-solver oracle: the former per-call Fraction elimination ----------
 
 

@@ -1,5 +1,6 @@
 import io
 import json
+import random
 import time
 
 import pytest
@@ -335,3 +336,108 @@ def test_non_object_extra_is_parse_error(extra):
     from mukailab.cli import _job_from_doc
     job = _job_from_doc({"subcommand": "reduce", "inputs": {"r": 5, "d": 2}, "extra": extra})
     assert run_job(job) == (2, "parse error: extra must be a JSON object\n")
+
+
+PAIR_IN = json.dumps({"v": {"r": 1, "c": [1, 0], "t": 0}, "w": {"r": 0, "c": [0, 1], "t": 1}})
+
+
+@pytest.mark.parametrize("gram", [[[0, 1.9], [1.9, 0]], [[False, True], [True, False]],
+                                  [[0, "1/1"], [1, 0]], [[0, None], [1, 0]]])
+def test_non_integral_or_bool_gram_entries_are_parse_errors(capsys, gram):
+    # 1.9 used to truncate to the hyperbolic plane and run with exit 0
+    surface = dict(K3U, gram=gram)
+    assert main(["pair", "--surface", json.dumps(surface), "--in", PAIR_IN]) == 2
+    assert capsys.readouterr().out.startswith("parse error: bad integer for 'gram'")
+
+
+def test_integral_gram_entries_keep_working(capsys):
+    outs = []
+    for gram in ([[0, 1], [1, 0]], [[0.0, 1.0], [1.0, 0.0]], [["0", "1"], ["1", "0"]]):
+        assert main(["pair", "--surface", json.dumps(dict(K3U, gram=gram)), "--in", PAIR_IN]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] == outs[2] == '{"pair": "0"}\n'
+
+
+def _epoly(capsys, base_terms):
+    doc = {"base": {"terms": base_terms}, "strata": []}
+    code = main(["epoly", "--in", json.dumps(doc)])
+    return code, capsys.readouterr().out
+
+
+@pytest.mark.parametrize("terms", [[[1.5, True, "1"]], [[1, True, "1"]], [[0.5, 0, "1"]],
+                                   [[0, "x", "1"]]])
+def test_non_integral_or_bool_laurent_exponents_are_parse_errors(capsys, terms):
+    # [[1.5, true, "1"]] used to read as x y
+    code, out = _epoly(capsys, terms)
+    assert code == 2 and out.startswith("parse error: bad integer for 'terms'")
+
+
+def test_integral_laurent_exponents_keep_working(capsys):
+    outs = [_epoly(capsys, terms) for terms in ([[1, 1, "2"], [0, -1, "1/3"]],
+                                                [[1.0, 1.0, "2"], [0.0, -1.0, "1/3"]],
+                                                [["1", "1", "2"], ["0", "-1", "1/3"]])]
+    assert outs[0] == outs[1] == outs[2] == (0, '{"terms": [[0, -1, "1/3"], [1, 1, "2"]]}\n')
+
+
+def _fuzz_box(rng, rank):
+    shape = rng.choice(("none", "ok", "reversed", "rational", "short", "long", "huge",
+                        "string", "garbage"))
+    if shape == "none":
+        return None
+    box = [[0, 0] for _ in range(rank)]
+    for i in rng.sample(range(rank), min(rank, 3)):
+        box[i] = [-1, rng.choice((0, 1))]
+    if shape == "reversed":
+        box[rng.randrange(rank)] = [1, -1]
+    elif shape == "rational":
+        box[rng.randrange(rank)] = ["-1/2", 1]
+    elif shape == "short":
+        box = box[:-1]
+    elif shape == "long":
+        box = box + [[0, 0]]
+    elif shape == "huge":
+        box = [rng.choice(([-10 ** 6, 10 ** 6], ["-1e999", "1e999"]))] * rank
+    elif shape == "string":
+        box = ";".join("%d,%d" % tuple(b) for b in box)
+    elif shape == "garbage":
+        box = rng.choice((5, "x", [["a", 1]] * rank, [[1]] * rank, [[0, 1, 2]] * rank,
+                          [[True, 1]] * rank, [[0.5, 1]] * rank))
+    return box
+
+
+def test_partition_fuzz_exits_cleanly():
+    # seeded random r, order, box and surface documents through cli.run:
+    # every run ends with 0 ok / 1 domain error / 2 parse error, quickly
+    rng = random.Random(20261018)
+    surfaces = (None, {"kind": "enriques"}, {"kind": "enriques", "polarization": [1] + [0] * 9},
+                K3U, ELLIPTIC, dict(K3U, gram=[[0, 1.5], [1.5, 0]]), dict(K3U, gram=[[0, 1], [1]]),
+                {"kind": "k3"}, "k3", [])
+    rs = (1, 3, 5, 7, 9, 15, 2, 4, 0, -1, -3, True, False, 999999, 10 ** 6 + 1, 10 ** 30,
+          "3", "x", 3.0, 3.5, None, [3])
+    orders = (0, 1, 2, 3, 5, -1, -7, 10 ** 6, 10 ** 40, "7/2", "-1/2", "x", "1e9999", 1.5,
+              True, None, [1])
+    codes = set()
+    for _ in range(300):
+        surface = rng.choice(surfaces)
+        rank = 2 if isinstance(surface, dict) and "gram" in surface else 10
+        job = JobSpec("partition", surface=surface, order=rng.choice(orders),
+                      box=_fuzz_box(rng, rank), extra={"r": rng.choice(rs)},
+                      output_format=rng.choice(("json", "tsv")))
+        start = time.perf_counter()
+        code, out = run_job(job)
+        assert code in (0, 1, 2), (job, out)
+        assert time.perf_counter() - start < 1.0, job
+        codes.add(code)
+    assert codes == {0, 1, 2}
+
+
+def test_partition_huge_box_bounds_are_refused(capsys):
+    # a box of ~10^10000 vectors once failed to format its refusal message
+    assert main(["partition", "--box=" + ";".join(["-1e999,1e999"] * 10)]) == 1
+    assert capsys.readouterr().out.startswith("domain error [partition-too-large]")
+
+
+def test_partition_order_from_a_document_is_a_parsed_rational():
+    for order, code in ((5, 0), ("7/2", 0), ("x", 2), (1.5, 2), (None, 2), ("1e9999", 2)):
+        got, out = run_job(JobSpec("partition", order=order, extra={"r": 3}))
+        assert got == code, (order, out)

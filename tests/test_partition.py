@@ -1,14 +1,16 @@
+import random
 from fractions import Fraction as F
 
 import pytest
 
-from mukailab import (PartitionTerm, PreconditionError, enriques_lattice,
+from mukailab import (PartitionTerm, PreconditionError, e_gl, enriques_lattice,
                       euler_hilb, hecke_block_sum, hecke_coset_transform,
                       hecke_zr, lattice_box_vectors, merge_terms,
                       multiplicity_chi, partition_z1, q_form, rank_side_terms)
 from mukailab.partition import MAX_PARTITION_WORK
 
-from helpers import composed_hecke_zr, composed_z1
+from helpers import (composed_hecke_zr, composed_z1, fraction_hecke_block_sum,
+                     fraction_hecke_coset_transform, fraction_merge_terms, product_e_gl)
 
 LAT = enriques_lattice()
 BOX0 = tuple((0, 0) for _ in range(10))
@@ -157,9 +159,155 @@ def test_partition_size_guard():
         assert exc.value.precondition == "partition-too-large"
 
 
+def test_partition_refusals_do_not_print_huge_numbers():
+    # str() of an int over 4300 digits raises ValueError, which once
+    # replaced these refusals
+    huge = tuple((-10 ** 999, 10 ** 999) for _ in range(10))
+    for call in (lambda: hecke_zr(10 ** 5000 + 1, LAT, 0, BOX0),
+                 lambda: partition_z1(LAT, 1, huge)):
+        assert refusal(call) == "partition-too-large"
+
+
 def test_hecke_zr_even_rejected():
     with pytest.raises(PreconditionError):
         hecke_zr(4, LAT, 2, BOX0)
+
+
+# --- refusals of the block sum and the coset transform ---------------------
+
+XI0, XI1 = (0,) * 10, (0, 0, 1) + (0,) * 7         # Q(XI1^2) = 2
+
+
+def refusal(call):
+    with pytest.raises(PreconditionError) as exc:
+        call()
+    return exc.value.precondition
+
+
+def test_tagged_exponents_are_refused():
+    tagged = PartitionTerm(XI1, F(1), F(1, 2), F(1, 2), F(-1, 3))
+    for terms in ([tagged], partition_z1(LAT, 2, small_box()) + [tagged]):
+        assert refusal(lambda: hecke_block_sum(terms, 1, 3, LAT)) == "tagged-exponents"
+        assert refusal(lambda: hecke_coset_transform(terms, (1, 1, 3), LAT)) == "tagged-exponents"
+
+
+def test_non_integral_phase_is_refused():
+    # 2 (1/3 + (1/2) * 2) is not an integer
+    odd = PartitionTerm(XI1, F(1), F(1, 3), F(1, 2), F(-1, 2))
+    for terms in ([odd], partition_z1(LAT, 2, BOX0) + [odd]):
+        assert refusal(lambda: hecke_block_sum(terms, 1, 3, LAT)) == "non-integral-phase"
+        assert refusal(lambda: hecke_coset_transform(terms, (1, 1, 3), LAT)) == "non-integral-phase"
+
+
+def test_phase_collision_is_refused_by_the_block_sum():
+    # coset (3, 1, 3) of r = 9 keeps the exponents and moves the phases
+    moved = hecke_coset_transform(partition_z1(LAT, 3, small_box()), (3, 1, 3), LAT)
+    assert any(t.phase for t in moved)
+    assert refusal(lambda: hecke_block_sum(moved, 1, 3, LAT)) == "phase-collision"
+    # the coset transform itself composes phases
+    again = hecke_coset_transform(moved, (1, 0, 1), LAT)
+    assert [t.phase for t in again] == [t.phase for t in moved]
+
+
+def test_first_refused_term_names_the_refusal():
+    # within a term: tags, then integrality, then the phase
+    both = PartitionTerm(XI1, F(1), F(1, 3), F(1, 2), F(-1, 3), phase=F(1, 3))
+    assert refusal(lambda: hecke_block_sum([both], 1, 3, LAT)) == "tagged-exponents"
+    odd = PartitionTerm(XI1, F(1), F(1, 3), F(1, 2), F(-1, 2), phase=F(1, 3))
+    assert refusal(lambda: hecke_block_sum([odd], 1, 3, LAT)) == "non-integral-phase"
+    # across terms: the earliest offending term
+    phased = PartitionTerm(XI0, F(1), F(1, 2), F(0), F(0), phase=F(1, 3))
+    tagged = PartitionTerm(XI1, F(1), F(1, 2), F(1, 2), F(-1, 3))
+    assert refusal(lambda: hecke_block_sum([phased, tagged], 1, 3, LAT)) == "phase-collision"
+    assert refusal(lambda: hecke_block_sum([tagged, phased], 1, 3, LAT)) == "tagged-exponents"
+
+
+# --- the integer passes against the former Fraction code --------------------
+
+XIS = (XI0, XI1, (1,) + (0,) * 9, (1, 1) + (0,) * 8, (-1, 0, 1, 1) + (0,) * 6)
+
+
+def random_terms(rng, n, tagged=False, phased=False):
+    """Terms with mixed denominators whose doubled exponent is an integer;
+    ``tagged`` lets neg_coef differ from -pos_coef, ``phased`` draws
+    nonzero phases.  Repeats of earlier terms with a new or negated
+    coefficient, or a new neg_coef, make merges, cancellations and ties."""
+    out = []
+    for _ in range(n):
+        if out and rng.random() < 0.4:
+            t = rng.choice(out)
+            kind = rng.choice(("same", "cancel", "tie") if tagged else ("same", "cancel"))
+            coeff = {"same": rng.choice((F(1, 3), 2)), "cancel": -t.coeff, "tie": t.coeff}[kind]
+            neg = F(rng.randint(-3, 3), 4) if kind == "tie" else t.neg_coef
+            out.append(PartitionTerm(t.xi, coeff, t.hol_scalar, t.pos_coef, neg,
+                                     t.x_scale, t.phase))
+            continue
+        xi = rng.choice(XIS)
+        pos = F(rng.randint(-3, 3), rng.choice((1, 2, 3, 4, 6)))
+        neg = F(rng.randint(-3, 3), 6) if tagged and rng.random() < 0.2 else -pos
+        hol = F(rng.randint(-6, 6), 2) - pos * q_form(LAT, xi)
+        coeff = rng.choice((F(rng.randint(-4, 4), rng.choice((1, 2, 3))), rng.randint(-4, 4)))
+        phase = F(rng.randint(0, 5), rng.choice((2, 3, 6))) % 1 if phased else F(0)
+        out.append(PartitionTerm(xi, coeff, hol, pos, neg, rng.choice((1, 3)), phase))
+    return out
+
+
+def assert_same_terms(got, want):
+    assert got == want
+    types = lambda terms: [[type(getattr(t, n)) for n in t._fields] for t in terms]
+    assert types(got) == types(want)
+    assert repr(got) == repr(want)
+
+
+def test_merge_terms_matches_fraction_merge():
+    rng = random.Random(7)
+    for _ in range(60):
+        terms = random_terms(rng, rng.randint(0, 40), tagged=True, phased=True)
+        assert_same_terms(merge_terms(terms), fraction_merge_terms(terms))
+    z1 = partition_z1(LAT, 4, small_box())
+    assert_same_terms(merge_terms(z1 + z1[::-1]), fraction_merge_terms(z1 + z1[::-1]))
+
+
+def test_merge_terms_ties_keep_first_seen_order():
+    # equal sort keys (hol_scalar, xi, pos_coef, x_scale, phase), neg_coef apart
+    a = PartitionTerm(XI1, F(1), F(1, 2), F(1, 2), F(-1, 2))
+    b = PartitionTerm(XI1, 2, F(1, 2), F(1, 2), F(1, 3))
+    for terms in ([a, b], [b, a], [b, a, b]):
+        got = merge_terms(terms)
+        assert_same_terms(got, fraction_merge_terms(terms))
+        assert [t.neg_coef for t in got] == [terms[0].neg_coef, terms[1].neg_coef]
+
+
+@pytest.mark.parametrize("a,d", [(1, 1), (3, 1), (1, 3), (3, 3), (1, 5), (5, 1), (2, 3),
+                                 (1, -3), (0, 3)])
+def test_hecke_block_sum_matches_fraction_block_sum(a, d):
+    rng = random.Random(100 * a + d)
+    for _ in range(30):
+        terms = random_terms(rng, rng.randint(0, 40))
+        assert_same_terms(hecke_block_sum(terms, a, d, LAT),
+                          fraction_hecke_block_sum(terms, a, d, LAT))
+    z1 = partition_z1(LAT, 6, small_box())
+    assert_same_terms(hecke_block_sum(z1, a, d, LAT), fraction_hecke_block_sum(z1, a, d, LAT))
+
+
+@pytest.mark.parametrize("coset", [(1, 0, 1), (3, 0, 1), (1, 1, 3), (1, 2, 3), (2, 1, 3),
+                                   (1, 4, 9), (1, 2, 5), (1, 1, -3), (0, 1, 3)])
+def test_hecke_coset_transform_matches_fraction_transform(coset):
+    rng = random.Random(sum(coset))
+    for _ in range(30):
+        terms = random_terms(rng, rng.randint(0, 40), phased=True)
+        assert_same_terms(hecke_coset_transform(terms, coset, LAT),
+                          fraction_hecke_coset_transform(terms, coset, LAT))
+    z1 = partition_z1(LAT, 5, small_box())
+    assert_same_terms(hecke_coset_transform(z1, coset, LAT),
+                      fraction_hecke_coset_transform(z1, coset, LAT))
+
+
+def test_e_gl_matches_binomial_product():
+    for N in range(1, 13):
+        got, want = e_gl(N), product_e_gl(N)
+        assert got == want and got.sorted_terms() == want.sorted_terms()
+        assert {type(c) for c in got.terms.values()} == {F}
 
 
 # --- conjectural Euler numbers ----------------------------------------------
