@@ -140,41 +140,34 @@ def _run_transform(job):
     return _emit(job, doc, [row])
 
 
-def _parse_walls_inputs(job, m):
+def _job_walls(job):
+    """The surface of a walls or chamberpath job and its walls_dim1 list."""
+    m = _surface(job)
     gamma = parse_gamma(_need(job, "gamma"), m)
     H = parse_class(_need(job, "H"), m.ns)
     box = parse_box(job.box if job.box is not None else _need(job, "box"), m.ns.rank)
-    return gamma, H, box
+    return m, walls.walls_dim1(gamma, H, box, m)
 
 
 def _run_walls(job):
-    m = _surface(job)
-    gamma, H, box = _parse_walls_inputs(job, m)
-    found = walls.walls_dim1(gamma, H, box, m)
-    rows = []
-    docs = []
-    for w in found:
-        rows.append([",".join(fmt_rational(x) for x in w.D.coords), w.n,
-                     ",".join(str(c) for c in w.normal), w.offset])
-        docs.append({"D": [fmt_rational(x) for x in w.D.coords], "n": w.n,
-                     "normal": list(w.normal), "offset": w.offset})
+    rows, docs = [], []
+    for w in _job_walls(job)[1]:
+        D = [fmt_rational(x) for x in w.D.coords]
+        rows.append([",".join(D), w.n, ",".join(str(c) for c in w.normal), w.offset])
+        docs.append({"D": D, "n": w.n, "normal": list(w.normal), "offset": w.offset})
     note = "walls are numerical candidates; absence certifies generality only numerically"
     return _emit(job, {"walls": docs, "note": note}, rows)
 
 
 def _run_chamberpath(job):
-    m = _surface(job)
-    gamma, H, box = _parse_walls_inputs(job, m)
-    found = walls.walls_dim1(gamma, H, box, m)
+    m, found = _job_walls(job)
     alpha = parse_class(_need(job, "alpha"), m.ns)
     alpha2 = parse_class(_need(job, "alpha2"), m.ns)
-    crossings = walls.chamber_path(alpha, alpha2, found)
-    rows = [[fmt_rational(c.t), c.index,
-             ",".join(fmt_rational(x) for x in c.wall.D.coords), c.wall.n]
-            for c in crossings]
-    docs = [{"t": fmt_rational(c.t), "wall_index": c.index,
-             "D": [fmt_rational(x) for x in c.wall.D.coords], "n": c.wall.n}
-            for c in crossings]
+    rows, docs = [], []
+    for c in walls.chamber_path(alpha, alpha2, found):
+        t, D = fmt_rational(c.t), [fmt_rational(x) for x in c.wall.D.coords]
+        rows.append([t, c.index, ",".join(D), c.wall.n])
+        docs.append({"t": t, "wall_index": c.index, "D": D, "n": c.wall.n})
     return _emit(job, {"crossings": docs}, rows)
 
 

@@ -16,13 +16,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import ceil, floor, gcd, prod
+from math import gcd, prod
 from operator import mul
 
 from ._record import record
 from .errors import PreconditionError
-from .lattice import (MukaiVector, NSClass, _gcd_many, _gram_mul, _new,
-                      chi_of, rat, twist)
+from .lattice import (MukaiVector, NSClass, _common_denominator, _form,
+                      _gcd_many, _gram_mul, _new, chi_of, rat, twist)
 
 # Largest number of lattice points scanned for effective decompositions,
 # and of walls emitted, by one walls_dim1 call.
@@ -99,21 +99,10 @@ class Wall:
     n: int
 
     def value(self, alpha):
-        return Fraction(self._scaled_value(alpha), alpha.den)
-
-    def _scaled_value(self, alpha):
-        """alpha.den * value(alpha): an integer with the sign of the value."""
-        return sum(map(mul, self.normal, alpha.num)) - self.offset * alpha.den
+        return Fraction(_scaled_values(alpha, (self,))[0], alpha.den)
 
     def hyperplane(self):
         return (self.normal, self.offset)
-
-
-def wall_functional(xi, D, H):
-    """(F, d) with alpha -> (D,alpha)(xi,H) - (xi,alpha)(D,H) equal to
-    (F . alpha) / d: integer coefficients F and a positive integer d."""
-    w = D.scale(xi.dot(H)) - xi.scale(D.dot(H))
-    return w.lattice.gram_mul(w.num), w.den
 
 
 def effective_decompositions(m, xi):
@@ -137,35 +126,22 @@ def effective_decompositions(m, xi):
     lat = xi.lattice
     ranges = []
     for i in range(lat.rank):
-        lo = hi = Fraction(0)
-        for g, top in zip(gens, y_xi):
-            contrib = g.coords[i] * Fraction(top, e)
-            if contrib >= 0:
-                hi += contrib
-            else:
-                lo += contrib
-        ranges.append(range(ceil(lo), floor(hi) + 1))
+        parts = [g.coords[i] * top for g, top in zip(gens, y_xi)]
+        lo, hi = sum(x for x in parts if x < 0), sum(x for x in parts if x > 0)
+        ranges.append(range(-(-lo // e), hi // e + 1))
     if prod(map(len, ranges)) > MAX_WALL_WORK:
         raise PreconditionError("walls-too-large",
                                 "more than %d lattice points to scan" % MAX_WALL_WORK)
-    out = []
-    zero = (0,) * lat.rank
-    for num in product(*ranges):
-        if num == zero or num == xi.num:
-            continue
-        if all(0 <= a <= b for a, b in zip(_gram_mul(E, num), y_xi)):
-            out.append(_new(NSClass, lat, num, 1))
-    return out
+    skip = ((0,) * lat.rank, xi.num)
+    return [_new(NSClass, lat, num, 1) for num in product(*ranges)
+            if num not in skip and all(0 <= a <= b for a, b in zip(_gram_mul(E, num), y_xi))]
 
 
-def _box_extremes(coeffs, box):
-    lo = Fraction(0)
-    hi = Fraction(0)
-    for c, (a, b) in zip(coeffs, box):
-        c = rat(c)
-        lo += min(c * rat(a), c * rat(b))
-        hi += max(c * rat(a), c * rat(b))
-    return lo, hi
+def _box_extremes(coeffs, ends):
+    """(min, max) of the integer functional coeffs over the box with bound
+    numerators ends = (lo_0, hi_0, lo_1, hi_1, ...), over their denominator."""
+    box = list(zip(coeffs, ends[::2], ends[1::2]))
+    return sum(min(c * a, c * b) for c, a, b in box), sum(max(c * a, c * b) for c, a, b in box)
 
 
 def walls_dim1(g, H, box, m):
@@ -180,43 +156,56 @@ def walls_dim1(g, H, box, m):
     xi, chi = g.c, g.chi
     if len(box) != xi.lattice.rank:
         raise PreconditionError("box-shape")
+    bounds = []
     for lo, hi in box:
-        if rat(lo) > rat(hi):
+        lo, hi = rat(lo), rat(hi)
+        if lo > hi:
             raise PreconditionError("empty-box")
-    xiH = xi.dot(H)
-    if xiH <= 0:
+        bounds += lo, hi
+    if xi.dot(H) <= 0:
         raise PreconditionError("degree-not-positive", "(xi, H) must be > 0")
-    walls = []
+    ends, L = _common_denominator(bounds)
+    # xi and D are integral, so with h = H.den, xh = h (xi,H), dh = h (D,H)
+    # and chi = cn/cd the wall (D,alpha)(xi,H) - (xi,alpha)(D,H) =
+    # n (xi,H) - chi (D,H) is F . alpha = n xh - chi dh, F = G (xh D - dh xi)
+    rows = xi.lattice._rows
+    xh = _form(rows, xi.num, H.num)
+    cn, cd = chi.numerator, chi.denominator
+    out = []
     for D in effective_decompositions(m, xi):
-        F, d = wall_functional(xi, D, H)
+        dh = _form(rows, D.num, H.num)
+        F = _gram_mul(rows, [xh * a - dh * b for a, b in zip(D.num, xi.num)])
         content = _gcd_many(F)
         if content == 0:
             # D proportional to xi (or in the radical): excluded data
             continue
-        DH = D.dot(H)
-        lo, hi = _box_extremes(F, box)
-        # wall equation: (F . alpha) / d = n*(xi,H) - chi*(D,H)
-        n_lo = ceil((lo / d + chi * DH) / xiH)
-        n_hi = floor((hi / d + chi * DH) / xiH)
+        # F . alpha ranges over [lo, hi] / L, so n xh cd L over cd [lo, hi] + cn dh L
+        lo, hi = _box_extremes(F, ends)
+        den = xh * cd * L
+        n_lo = -((-lo * cd - cn * dh * L) // den)
+        n_hi = (hi * cd + cn * dh * L) // den
         # normal0 = +-F/content with positive leading entry, so the wall is
-        # normal0 . alpha = A*n + B; clearing the denominator of A*n + B
+        # normal0 . alpha = (a1 n + b1) / q0; clearing that denominator
         # gives each wall's coprime (normal, offset)
         sign = 1 if next(x for x in F if x) > 0 else -1
-        normal0 = tuple(sign * x // content for x in F)
-        scale = Fraction(sign * d, content)
-        A, B = scale * xiH, -scale * chi * DH
-        an, ad, bn, bd = A.numerator, A.denominator, B.numerator, B.denominator
-        if len(walls) + n_hi - n_lo + 1 > MAX_WALL_WORK:
+        normal0 = [sign * x // content for x in F]
+        a1, b1, q0 = sign * xh * cd, -sign * cn * dh, content * cd
+        if len(out) + n_hi - n_lo + 1 > MAX_WALL_WORK:
             raise PreconditionError("walls-too-large",
                                     "more than %d walls in the box" % MAX_WALL_WORK)
+        scaled = {}
         for n in range(n_lo, n_hi + 1):
-            p, q = an * n * bd + bn * ad, ad * bd
-            k = gcd(p, q)
-            q //= k
-            walls.append(Wall(tuple(q * x for x in normal0), p // k, D, n))
-    # D is integral, so its numerators order walls as its coordinates do
-    walls.sort(key=lambda w: (w.normal, w.offset, w.D.num, w.n))
-    return walls
+            p = a1 * n + b1
+            k = gcd(p, q0)
+            q = q0 // k
+            normal = scaled.get(q)
+            if normal is None:
+                normal = scaled[q] = tuple([q * x for x in normal0])
+            out.append((normal, p // k, D.num, n, D))
+    # the keys (normal, offset, D.num, n) are distinct, and D is integral,
+    # so its numerators order walls as its coordinates do
+    out.sort()
+    return [Wall(normal, offset, D, n) for normal, offset, _, n, D in out]
 
 
 def unique_hyperplanes(walls):
@@ -242,13 +231,27 @@ class OnWall:
     indices: tuple
 
 
+def _scaled_values(alpha, walls):
+    """alpha.den * w.value(alpha) for every wall, alpha on the walls'
+    lattice.  Sorted walls share normal . alpha.num along equal normals."""
+    if walls:
+        walls[0].D._check(alpha)
+    num, den = alpha.num, alpha.den
+    out, normal = [], None
+    for w in walls:
+        if w.normal != normal:
+            normal = w.normal
+            dot = sum(map(mul, normal, num))
+        out.append(dot - w.offset * den)
+    return out
+
+
 def chamber_locate(alpha, walls):
     """Sign vector of alpha against every wall, or OnWall with the indices hit."""
-    values = [w._scaled_value(alpha) for w in walls]
-    hits = tuple(i for i, x in enumerate(values) if x == 0)
-    if hits:
-        return OnWall(hits)
-    return Chamber(tuple("+" if x > 0 else "-" for x in values), alpha)
+    values = _scaled_values(alpha, walls)
+    if 0 in values:
+        return OnWall(tuple([i for i, x in enumerate(values) if x == 0]))
+    return Chamber(tuple(["+" if x > 0 else "-" for x in values]), alpha)
 
 
 @record
@@ -263,25 +266,29 @@ def chamber_path(alpha, alpha2, walls):
 
     Endpoints must lie strictly off every wall.
     """
-    for name, pt in (("start", alpha), ("end", alpha2)):
-        if isinstance(chamber_locate(pt, walls), OnWall):
-            raise PreconditionError("endpoint-on-wall", "%s point lies on a wall" % name)
-    direction = alpha2 - alpha
-    # t = -value(alpha) / (normal . direction), kept as the integer ratio
-    # p / q until a crossing is found
-    d_num, d_den, a_den = direction.num, direction.den, alpha.den
-    crossings = []
-    for i, w in enumerate(walls):
-        slope = sum(map(mul, w.normal, d_num))
-        if slope == 0:
-            continue
-        p = -w._scaled_value(alpha) * d_den
-        q = slope * a_den
-        if q < 0:
-            p, q = -p, -q
-        if 0 < p < q:
-            crossings.append(Crossing(Fraction(p, q), i, w))
-    crossings.sort(key=lambda c: (c.t, c.index))
+    xs = _scaled_values(alpha, walls)
+    if 0 in xs:
+        raise PreconditionError("endpoint-on-wall", "start point lies on a wall")
+    ys = _scaled_values(alpha2, walls)
+    if 0 in ys:
+        raise PreconditionError("endpoint-on-wall", "end point lies on a wall")
+    # refused even when there are no walls to check the endpoints against
+    alpha._check(alpha2)
+    # a wall is crossed iff its value, x/a at t = 0 and y/b at t = 1, changes
+    # sign; it vanishes at t = p/q, p = |x| b, q = p + |y| a <= q_max.  Distinct
+    # times in (0, 1) differ by >= 1/q_max^2, so floor(K t) with K = q_max^2
+    # orders them exactly and is equal only for equal times; ties go by index.
+    a, b = alpha.den, alpha2.den
+    q_max = max(map(abs, xs), default=0) * b + max(map(abs, ys), default=0) * a
+    K = q_max * q_max
+    hits = sorted([(abs(x) * b * K // (abs(x) * b + abs(y) * a), i)
+                   for i, (x, y) in enumerate(zip(xs, ys)) if (x > 0) != (y > 0)])
+    crossings, key = [], None
+    for k, i in hits:
+        if k != key:
+            p = abs(xs[i]) * b
+            key, t = k, Fraction(p, p + abs(ys[i]) * a)
+        crossings.append(Crossing(t, i, walls[i]))
     return crossings
 
 

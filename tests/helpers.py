@@ -4,9 +4,10 @@ import random
 from fractions import Fraction as F
 from math import comb, gcd
 
-from mukailab import (EllipticRelativeParams, GammaTriple, MukaiVector,
-                      elliptic_relative_map, isotropic_coords, k3_model, mukai_pair,
-                      mukai_square, vector_of_gamma, vector_stats)
+from mukailab import (Crossing, EllipticRelativeParams, GammaTriple, MukaiVector,
+                      PreconditionError, elliptic_relative_map, generic_model,
+                      isotropic_coords, k3_model, mukai_pair, mukai_square, rat,
+                      vector_of_gamma, vector_stats)
 from mukailab.lattice import random_mukai_vector
 
 
@@ -171,6 +172,51 @@ def brute_force_walls(g, H, box, m):
                     ints = [-x for x in ints]
                 out.add(((u, w), n, tuple(ints[:-1]), ints[-1]))
     return out
+
+
+def rank3_model():
+    """Rank-3 surface with the coordinate orthant as effective cone."""
+    return generic_model(((-1, 1, 0), (1, 0, 0), (0, 0, -2)), ("sigma", "f", "e"), (1, 3, 0),
+                         chi_O=1, effective_generators=((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+
+
+def fraction_box_extremes(coeffs, box):
+    """(min, max) of sum c_i alpha_i over the box, summed in Fractions."""
+    lo = F(0)
+    hi = F(0)
+    for c, (a, b) in zip(coeffs, box):
+        c = rat(c)
+        lo += min(c * rat(a), c * rat(b))
+        hi += max(c * rat(a), c * rat(b))
+    return lo, hi
+
+
+def _scaled_value(w, alpha):
+    """alpha.den * w.value(alpha), one wall at a time."""
+    return sum(x * y for x, y in zip(w.normal, alpha.num)) - w.offset * alpha.den
+
+
+def fraction_chamber_path(alpha, alpha2, walls):
+    """Crossings of alpha -> alpha2 wall by wall along the direction, each
+    t a Fraction, sorted on (t, index)."""
+    for name, pt in (("start", alpha), ("end", alpha2)):
+        if any(_scaled_value(w, pt) == 0 for w in walls):
+            raise PreconditionError("endpoint-on-wall", "%s point lies on a wall" % name)
+    direction = alpha2 - alpha
+    d_num, d_den, a_den = direction.num, direction.den, alpha.den
+    crossings = []
+    for i, w in enumerate(walls):
+        slope = sum(x * y for x, y in zip(w.normal, d_num))
+        if slope == 0:
+            continue
+        p = -_scaled_value(w, alpha) * d_den
+        q = slope * a_den
+        if q < 0:
+            p, q = -p, -q
+        if 0 < p < q:
+            crossings.append(Crossing(F(p, q), i, w))
+    crossings.sort(key=lambda c: (c.t, c.index))
+    return crossings
 
 
 def fraction_pair(gram, a, b):

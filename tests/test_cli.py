@@ -441,3 +441,69 @@ def test_partition_order_from_a_document_is_a_parsed_rational():
     for order, code in ((5, 0), ("7/2", 0), ("x", 2), (1.5, 2), (None, 2), ("1e9999", 2)):
         got, out = run_job(JobSpec("partition", order=order, extra={"r": 3}))
         assert got == code, (order, out)
+
+
+RANK3 = {"kind": "generic", "gram": [[-1, 1, 0], [1, 0, 0], [0, 0, -2]],
+         "basis": ["sigma", "f", "e"], "polarization": [1, 3, 0], "chi_O": 1,
+         "effective": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}
+
+
+def _fuzz_class(rng, rank):
+    shape = rng.choice(("rational", "short", "long", "huge", "garbage"))
+    if shape == "rational":
+        return [rng.choice((0, 1, -1, 3, "1/7", "-2/3", "5/11", 0.5)) for _ in range(rank)]
+    if shape == "short":
+        return [1] * (rank - 1)
+    if shape == "long":
+        return [1] * (rank + 1)
+    if shape == "huge":
+        return [rng.choice((10 ** 5, 10 ** 9, "1e999", "1/1e999"))] * rank
+    return rng.choice((None, "x", 5, {}, [[1]] * rank, [True] * rank, ["a"] * rank))
+
+
+def test_walls_fuzz_exits_cleanly():
+    # seeded random mutations of valid walls and chamberpath jobs (gamma, H,
+    # box, alpha/alpha2, surface) through cli.run: every run ends with 0 ok /
+    # 1 domain error / 2 parse error, quickly
+    rng = random.Random(20261020)
+    surfaces = (K3U, dict(ELLIPTIC, effective=[[1, 0], [2, 0]]), dict(ELLIPTIC, gram=[[-1, 1], [1]]),
+                dict(RANK3, polarization=[1, 3]), dict(ELLIPTIC, effective=[["1/2", 0], [0, 1]]),
+                dict(ELLIPTIC, gram=[[0, 1], [1, 0]]), {"kind": "enriques"}, None, "x")
+    primes = (7, 11, 13, 17, 19)
+    codes = set()
+    for _ in range(400):
+        surface = rng.choice((ELLIPTIC, RANK3))
+        rank = len(surface["gram"])
+        b = rng.randint(1, 3)
+        inputs = {"gamma": {"rank": 0, "c": [rng.randint(0, 4) for _ in range(rank)],
+                            "chi": rng.choice((1, 0, -3, "1/2", "-7/3"))},
+                  "H": surface["polarization"],
+                  "alpha": ["%d/%d" % (rng.randint(-20, 20), rng.choice(primes)) for _ in range(rank)],
+                  "alpha2": ["%d/%d" % (rng.randint(-20, 20), rng.choice(primes)) for _ in range(rank)]}
+        box = rng.choice(([[-b, b]] * rank, "%s,%s" % (-b, "1/2") + ";-1,1" * (rank - 1)))
+        for _ in range(rng.choice((0, 1, 1, 2))):
+            key = rng.choice(("surface", "gamma", "c", "chi", "H", "alpha", "alpha2", "box",
+                              "drop"))
+            if key == "surface":
+                surface = rng.choice(surfaces)
+            elif key in ("c", "chi"):
+                if isinstance(inputs.get("gamma"), dict):
+                    inputs["gamma"] = dict(inputs["gamma"], **{
+                        key: rng.choice((_fuzz_class(rng, rank), 10 ** 9, "x", None, 1.5))})
+            elif key == "gamma":
+                inputs["gamma"] = rng.choice(({"rank": rng.choice((1, "x", None)), "c": [1, 2],
+                                               "chi": 1}, {"c": [1, 2]}, "x", None))
+            elif key == "box":
+                box = _fuzz_box(rng, rank)
+            elif key == "drop":
+                inputs.pop(rng.choice(sorted(inputs)))
+            else:
+                inputs[key] = _fuzz_class(rng, rank)
+        job = JobSpec(rng.choice(("walls", "chamberpath")), surface=surface, inputs=inputs,
+                      box=box, output_format=rng.choice(("json", "tsv")))
+        start = time.perf_counter()
+        code, out = run_job(job)
+        assert code in (0, 1, 2), (job, out)
+        assert time.perf_counter() - start < 1.0, job
+        codes.add((job.subcommand, code))
+    assert codes == {(sub, code) for sub in ("walls", "chamberpath") for code in (0, 1, 2)}

@@ -6,14 +6,15 @@ from math import gcd
 import pytest
 
 from mukailab import walls as walls_mod
-from mukailab import (Chamber, GammaTriple, OnWall, PreconditionError,
-                      TwistData, chamber_locate, chamber_path, chi_of,
-                      effective_decompositions, generic_model, slope_dim1,
-                      twist, twisted_invariants, unique_hyperplanes,
+from mukailab import (Chamber, GammaTriple, LatticeMismatchError, OnWall,
+                      PreconditionError, TwistData, chamber_locate, chamber_path,
+                      chi_of, effective_decompositions, generic_model, rat,
+                      slope_dim1, twist, twisted_invariants, unique_hyperplanes,
                       wall_solve_tf, walls_dim1)
-from mukailab.lattice import random_mukai_vector
+from mukailab.lattice import _common_denominator, random_mukai_vector
 
-from helpers import brute_force_walls, k3_with_perp, quadratic_unique_hyperplanes
+from helpers import (brute_force_walls, fraction_box_extremes, fraction_chamber_path,
+                     k3_with_perp, quadratic_unique_hyperplanes, rank3_model)
 
 
 BOX = ((F(-2), F(2)), (F(-2), F(2)))
@@ -219,6 +220,177 @@ def test_chamber_path_single_crossing(elliptic):
     b = elliptic.cls((1, 2))       # 3 - 2 + 1 = 2 > 0
     crossings = chamber_path(a, b, walls)
     assert len(crossings) == 1 and crossings[0].t == F(1, 3)
+
+
+# --- integer chamber queries against the Fraction oracles -------------------
+
+
+def _models(elliptic):
+    return {"elliptic": elliptic, "rank3": rank3_model()}
+
+
+def _random_walls(m, rng):
+    rank = m.ns.rank
+    g = GammaTriple(0, m.cls([rng.randint(1, 3) for _ in range(rank)]),
+                    F(rng.randint(-6, 6), rng.choice((1, 2))))
+    return walls_dim1(g, m.cls((1, 3) + (0,) * (rank - 2)), ((-2, 2),) * rank, m)
+
+
+def _random_point(m, rng):
+    return m.cls([F(rng.randint(-40, 40), rng.choice((1, 7, 11, 13, 20)))
+                  for _ in range(m.ns.rank)])
+
+
+def _on_wall(w, rng):
+    """A point of w's hyperplane, solved for its last nonzero normal entry."""
+    j = max(i for i, x in enumerate(w.normal) if x)
+    c = [F(rng.randint(-9, 9), rng.choice((1, 3))) for _ in w.normal]
+    c[j] = 0
+    c[j] = (w.offset - sum(x * y for x, y in zip(w.normal, c))) / w.normal[j]
+    return w.D.lattice.cls(c)
+
+
+def _assert_same_path(a, b, walls):
+    try:
+        want = fraction_chamber_path(a, b, walls)
+    except PreconditionError as exc:
+        with pytest.raises(PreconditionError) as raised:
+            chamber_path(a, b, walls)
+        assert str(raised.value) == str(exc)
+        return None
+    got = chamber_path(a, b, walls)
+    assert got == want
+    assert all(type(c.t) is F and c.wall is d.wall for c, d in zip(got, want))
+    return got
+
+
+@pytest.mark.parametrize("name", ["elliptic", "rank3"])
+def test_chamber_queries_match_fraction_oracles(elliptic, name):
+    m = _models(elliptic)[name]
+    rng = random.Random(2026 + len(name))
+    paths = ties = 0
+    for _ in range(15):
+        walls = _random_walls(m, rng)
+        points = [_random_point(m, rng) for _ in range(5)] + \
+            [_on_wall(w, rng) for w in rng.sample(walls, min(2, len(walls)))]
+        for a in points:
+            values = [sum(F(x) * y for x, y in zip(w.normal, a.coords)) - w.offset for w in walls]
+            if 0 in values:
+                want = OnWall(tuple(i for i, v in enumerate(values) if v == 0))
+            else:
+                want = Chamber(tuple("+" if v > 0 else "-" for v in values), a)
+            assert chamber_locate(a, walls) == want
+        for a in points:
+            for b in points:
+                got = _assert_same_path(a, b, walls)
+                if got:
+                    paths += 1
+                    ties += len(got) - len({c.t for c in got})
+    # the same hyperplane from two D gives crossings at one time
+    assert paths > 200 and ties > 0
+
+
+def test_chamber_path_through_a_meeting_point():
+    # on a rank-2 NS every wall is parallel to H-perp, so two walls meet only
+    # in rank 3; the segment P - d -> P + d crosses walls through P at t = 1/2
+    m = rank3_model()
+    rng = random.Random(7)
+    walls = walls_dim1(GammaTriple(0, m.cls((2, 2, 2)), 1), m.cls((1, 3, 0)),
+                       ((-2, 2),) * 3, m)
+    d = m.cls((F(1, 97), F(1, 89), F(1, 83)))
+    checked = 0
+    for _ in range(60):
+        i, j = sorted(rng.sample(range(len(walls)), 2))
+        (a0, a, b), (c0, c, e) = walls[i].normal, walls[j].normal
+        det = a * e - b * c
+        if det == 0:
+            continue
+        # P = (1/5, y, z) on both walls
+        u, v = walls[i].offset - F(a0, 5), walls[j].offset - F(c0, 5)
+        P = m.cls((F(1, 5), (u * e - b * v) / det, (a * v - u * c) / det))
+        got = _assert_same_path(P - d, P + d, walls)
+        if got is not None:
+            at_half = [x.index for x in got if x.t == F(1, 2)]
+            assert i in at_half and j in at_half and at_half == sorted(at_half)
+            checked += 1
+    assert checked > 20
+
+
+@pytest.mark.parametrize("name", ["elliptic", "rank3"])
+def test_chamber_path_endpoints(elliptic, name):
+    m = _models(elliptic)[name]
+    rng = random.Random(31)
+    walls = _random_walls(m, rng)
+    a = next(p for p in iter(lambda: _random_point(m, rng), None)
+             if isinstance(chamber_locate(p, walls), Chamber))
+    on = _on_wall(walls[0], rng)
+    assert chamber_path(a, a, walls) == [] == fraction_chamber_path(a, a, walls)
+    for start, end, which in ((on, a, "start"), (a, on, "end"), (on, on, "start")):
+        for path in (chamber_path, fraction_chamber_path):
+            with pytest.raises(PreconditionError, match="endpoint-on-wall: %s point" % which):
+                path(start, end, walls)
+
+
+def test_chamber_queries_refuse_another_lattice(elliptic):
+    walls = walls_dim1(GammaTriple(0, elliptic.cls((2, 3)), 1), elliptic.cls((1, 3)), BOX,
+                       elliptic)
+    a = elliptic.cls((F(1, 7), F(1, 11)))
+    other = rank3_model().cls((F(1, 7), F(1, 11), F(1, 13)))
+    for call in (lambda: chamber_locate(other, walls), lambda: chamber_path(other, a, walls),
+                 lambda: chamber_path(a, other, walls), lambda: walls[0].value(other)):
+        with pytest.raises(LatticeMismatchError):
+            call()
+    # with no walls there is nothing to compare a lone point against
+    assert chamber_locate(other, []) == Chamber((), other)
+    assert chamber_path(other, other, []) == []
+    with pytest.raises(LatticeMismatchError):
+        chamber_path(a, other, [])
+
+
+def test_box_extremes_match_fraction_sums():
+    rng = random.Random(5)
+    for _ in range(300):
+        rank = rng.randint(1, 4)
+        coeffs = [rng.randint(-9, 9) for _ in range(rank)]
+        box = []
+        for _ in range(rank):
+            lo, hi = sorted(F(rng.randint(-30, 30), rng.randint(1, 12)) for _ in range(2))
+            box.append(rng.choice(((lo, hi), (str(lo), str(hi)), (lo.numerator, hi))))
+        ends, den = _common_denominator([rat(x) for pair in box for x in pair])
+        lo, hi = walls_mod._box_extremes(coeffs, ends)
+        assert (F(lo, den), F(hi, den)) == fraction_box_extremes(coeffs, box)
+
+
+@pytest.mark.parametrize("box", [
+    ((F(-3, 2), F(5, 3)), (F(-7, 4), F(2))),
+    (("-3/2", "5/3"), ("-7/4", "2")),
+    ((F(-1, 3), F(1, 2)), ("-5/6", F(7, 5))),
+    ((F(1, 3), F(1, 3)), (F(-9, 4), "13/6")),
+])
+@pytest.mark.parametrize("xi,chi", [((1, 2), 1), ((2, 3), -2), ((4, 6), 3)])
+def test_walls_on_rational_boxes_match_brute_force(elliptic, box, xi, chi):
+    g, H = GammaTriple(0, elliptic.cls(xi), chi), elliptic.cls((1, 3))
+    walls = walls_dim1(g, H, box, elliptic)
+    got = {(tuple(int(x) for x in w.D.coords), w.n, w.normal, w.offset) for w in walls}
+    assert len(got) == len(walls)
+    assert got == brute_force_walls(g, H, tuple((rat(a), rat(b)) for a, b in box), elliptic)
+
+
+@pytest.mark.parametrize("name", ["elliptic", "rank3"])
+def test_walls_invariant_under_scaling_H(elliptic, name):
+    # the wall equation is homogeneous of degree 1 in H
+    m = _models(elliptic)[name]
+    rng = random.Random(17)
+    for _ in range(10):
+        rank = m.ns.rank
+        g = GammaTriple(0, m.cls([rng.randint(1, 3) for _ in range(rank)]),
+                        F(rng.randint(-6, 6), rng.choice((1, 2, 3))))
+        H = m.cls((1, 3) + (0,) * (rank - 2))
+        box = (("-3/2", "5/3"),) + ((F(-7, 4), 2),) * (rank - 1)
+        walls = walls_dim1(g, H, box, m)
+        assert walls
+        for k in (F(1, 6), F(7, 4), 5):
+            assert walls_dim1(g, H.scale(k), box, m) == walls
 
 
 # --- flip parameter --------------------------------------------------------
