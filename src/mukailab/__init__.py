@@ -5,7 +5,8 @@ All arithmetic is exact: NS classes are integer numerators over one
 denominator, and rationals reach the API as fractions.Fraction.
 """
 
-from .errors import LatticeMismatchError, MukaiLabError, ParseError, PreconditionError
+from .errors import (InvariantError, LatticeMismatchError, MukaiLabError,
+                     ParseError, PreconditionError)
 from .lattice import (GammaTriple, MukaiVector, NSClass, NSLattice,
                       SurfaceModel, VectorStats, abelian_model, chi_of, dual,
                       e8_minus_gram, elliptic_model, enriques_lattice,

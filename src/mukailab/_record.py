@@ -1,12 +1,18 @@
 """Record classes without the dataclasses module.
 
 ``record`` gives a class with annotated fields what the package used from
-``dataclasses.dataclass``: an ``__init__`` over the fields in order (class
-attributes are defaults; ``__post_init__`` runs last), ``__repr__``,
-field-wise ``__eq__`` and, for frozen records, ``__hash__`` and refused
-assignment.  Importing ``dataclasses`` loads ``inspect``, ``ast`` and
-``dis``, about 1 MB of resident memory for every process that imports
-mukailab.
+``dataclasses.dataclass(slots=True)``: the class is re-created with
+``__slots__`` equal to its fields, and gets an ``__init__`` over the fields
+in order (class attributes are defaults; ``__post_init__`` runs last),
+``__repr__``, field-wise ``__eq__`` and, for frozen records, ``__hash__``
+and refused assignment and deletion.  A frozen ``__init__`` stores each
+field through its slot descriptor, which bypasses the refusing
+``__setattr__``.  A class with ``__post_init__`` also gets a ``__dict__``
+slot, for the private values it caches (``NSLattice._rows``,
+``SurfaceModel._cone``).  ``__getstate__`` and ``__setstate__`` carry the
+fields (and that dict) through ``pickle`` and ``copy``.  Importing
+``dataclasses`` loads ``inspect``, ``ast`` and ``dis``, about 1 MB of
+resident memory for every process that imports mukailab.
 """
 
 from operator import attrgetter
@@ -20,32 +26,54 @@ def _refuse(self, *args):
     raise FrozenInstanceError("cannot assign to a field of %s" % type(self).__name__)
 
 
+def _getstate(self):
+    return [getattr(self, n) for n in self._fields], getattr(self, "__dict__", None)
+
+
+def _setstate(self, state):
+    values, extra = state
+    for name, value in zip(self._fields, values):
+        object.__setattr__(self, name, value)
+    if extra:
+        self.__dict__.update(extra)
+
+
 def record(cls=None, frozen=True):
     if cls is None:
         return lambda c: record(c, frozen)
     names = tuple(cls.__dict__.get("__annotations__", ()))
-    env = {"_set": object.__setattr__}
-    params = []
+    body = dict(cls.__dict__)
+    for slot in ("__dict__", "__weakref__"):
+        body.pop(slot, None)
+    env, params = {}, []
     for name in names:
-        if name in cls.__dict__:
-            env["_d_" + name] = cls.__dict__[name]
-            name += "=_d_" + name
-        params.append(name)
-    assign = "_set(self, %r, %s)" if frozen else "self.%s = %s"
-    body = [assign % (n, n) for n in names]
-    if hasattr(cls, "__post_init__"):
-        body.append("self.__post_init__()")
-    exec("def __init__(self, %s):\n    %s" % (", ".join(params), "\n    ".join(body)), env)
+        if name in body:
+            env["_d_" + name] = body.pop(name)
+            params.append("%s=_d_%s" % (name, name))
+        else:
+            params.append(name)
+    post_init = "__post_init__" in body
+    # the _s_ names are the slot descriptors' __set__, bound once the class exists
+    assign = "_s_%s(self, %s)" if frozen else "self.%s = %s"
+    lines = ["def __init__(self, %s):" % ", ".join(params)]
+    lines += ["    " + assign % (n, n) for n in names]
+    lines += ["    self.__post_init__()"] * post_init
+    exec("\n".join(lines), env)
     fields = attrgetter(*names)
-    cls.__init__ = env["__init__"]
-    cls.__repr__ = lambda self: "%s(%s)" % (type(self).__qualname__, ", ".join(
-        "%s=%r" % (n, getattr(self, n)) for n in names))
-    cls.__eq__ = lambda self, other: (fields(self) == fields(other)
-                                      if other.__class__ is self.__class__ else NotImplemented)
-    cls.__hash__ = (lambda self: hash(fields(self))) if frozen else None
+    body.update(
+        __slots__=names + ("__dict__",) * post_init, __qualname__=cls.__qualname__,
+        __init__=env["__init__"], __getstate__=_getstate, __setstate__=_setstate,
+        __repr__=lambda self: "%s(%s)" % (type(self).__qualname__, ", ".join(
+            "%s=%r" % (n, getattr(self, n)) for n in names)),
+        __eq__=lambda self, other: (fields(self) == fields(other)
+                                    if other.__class__ is self.__class__ else NotImplemented),
+        __hash__=(lambda self: hash(fields(self))) if frozen else None,
+        _fields=names)
     if frozen:
-        cls.__setattr__ = cls.__delattr__ = _refuse
-    cls._fields = names
+        body["__setattr__"] = body["__delattr__"] = _refuse
+    cls = type(cls)(cls.__name__, cls.__bases__, body)
+    for name in names:
+        env["_s_" + name] = cls.__dict__[name].__set__
     return cls
 
 

@@ -4,7 +4,8 @@ Subcommands: pair, transform, walls, chamberpath, wallsolve, epoly,
 partition, reduce, dims, gitweight.  Inputs are JSON documents (inline or
 from files) in the shared schema; output is deterministic JSON or TSV
 with exact rationals (never decimals).  Exit codes: 0 success, 1 domain
-error (the violated precondition is named), 2 parse error.
+error (the violated precondition is named), 2 parse error, 3 internal
+invariant failure (a bug in mukailab, reported without a traceback).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from importlib import resources
 from . import partition as partition_mod
 from . import reductions, series, transforms, walls
 from ._record import record
-from .errors import MukaiLabError, ParseError, PreconditionError
+from .errors import InvariantError, MukaiLabError, ParseError, PreconditionError
 from .jsonio import (fmt_rational, laurent_to_json, loads, parse_box,
                      parse_class, parse_cohmap, parse_gamma, parse_int,
                      parse_laurent, parse_rational, parse_surface,
@@ -63,6 +64,9 @@ def run(job, out=None):
     except PreconditionError as exc:
         out.write("domain error [%s]: %s\n" % (exc.precondition, exc))
         return 1
+    except InvariantError as exc:
+        out.write("internal error: invariant failed: %s\n" % exc)
+        return 3
     except MukaiLabError as exc:
         out.write("domain error: %s\n" % exc)
         return 1

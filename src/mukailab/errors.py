@@ -29,3 +29,9 @@ class LatticeMismatchError(PreconditionError):
 
 class ParseError(MukaiLabError):
     """Malformed JSON input (CLI exit code 2)."""
+
+
+class InvariantError(MukaiLabError, AssertionError):
+    """An internal invariant of a computation failed: a bug in mukailab,
+    not a bad input (CLI exit code 3).  It is an AssertionError too, so
+    callers that catch AssertionError keep working."""

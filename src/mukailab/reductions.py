@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import gcd
 
 from ._record import record
-from .errors import PreconditionError
+from .errors import InvariantError, PreconditionError
 from .lattice import (SurfaceModel, hyperbolic_lattice, mukai_pair,
                       mukai_square, rat, twist, vector_stats)
 from .series import LaurentPoly, hilb_series
@@ -131,8 +131,10 @@ def reduce_to_rank_one(l, r, c1, a, m):
     trace.record("deform", {"lambda": lam, "b": b, "k": k}, v0, v1,
                  _vector_invariants(v1, target))
 
-    swap1 = cor_ext_map(target, k)
-    v2 = swap1.apply(v1)
+    # the cor_ext transform is one matrix for every k >= 1 (k' and k'' are
+    # >= 1 by the choice of lambda'), so one map serves all three swaps
+    swap = cor_ext_map(target, k)
+    v2 = swap.apply(v1)
     trace.record("fm_swap", {"kind": "rank2-isotropic", "k": k}, v1, v2,
                  _vector_invariants(v2, target))
 
@@ -142,27 +144,28 @@ def reduce_to_rank_one(l, r, c1, a, m):
     lam2 = max(lam2, 0)
     b2 = l * r + lam2
     k2 = l * l * k + b * lam2
+    # k'' = l r (1 - b) + l^2 k + lambda', for the last deformation
+    k3 = l * r * (1 - b) + l * l * k + lam2
+    if min(k2, k3) < 1:
+        raise InvariantError("k' and k'' must be >= 1 for the cor_ext swap")
     v3 = target.vector(b, emkf(k2), -b2)
     trace.record("deform", {"lambda'": lam2, "b'": b2, "k'": k2}, v2, v3,
                  _vector_invariants(v3, target))
 
-    swap2 = cor_ext_map(target, k2)
-    v4 = swap2.apply(v3)
+    v4 = swap.apply(v3)
     trace.record("fm_swap", {"kind": "rank2-isotropic", "k": k2}, v3, v4,
                  _vector_invariants(v4, target))
 
-    # deform to omega-coefficient -1: k'' = l r (1 - b) + l^2 k + lambda'
-    k3 = l * r * (1 - b) + l * l * k + lam2
+    # deform to omega-coefficient -1
     v5 = target.vector(b2, -emkf(k3), -1)
     trace.record("deform", {"k''": k3}, v4, v5, _vector_invariants(v5, target))
 
-    swap3 = cor_ext_map(target, k3)
-    v6 = swap3.apply(v5)
+    v6 = swap.apply(v5)
     trace.record("fm_swap", {"kind": "rank2-isotropic", "k": k3}, v5, v6,
                  _vector_invariants(v6, target))
 
     if v6.r != 1:
-        raise AssertionError("reduction did not reach rank one")
+        raise InvariantError("reduction did not reach rank one")
     return trace
 
 
@@ -268,7 +271,7 @@ def _twist_step(trace, m, v, D, note, sq):
     trace.record("twist", {"D": tuple(str(x) for x in D.coords), "note": note},
                  v, w, _vector_invariants(w, m))
     if mukai_square(w) != sq:
-        raise AssertionError("twist changed the Mukai square")
+        raise InvariantError("twist changed the Mukai square")
     return w
 
 
@@ -281,7 +284,7 @@ def _swap_step(trace, m, v, v0, sq):
     trace.record("fm_swap", {"kind": "minus-one-reflection"}, v, w,
                  _vector_invariants(w, m))
     if mukai_square(w) != sq:
-        raise AssertionError("reflection changed the Mukai square")
+        raise InvariantError("reflection changed the Mukai square")
     return w
 
 
@@ -324,7 +327,7 @@ def _e8_twist_for_content_and_s(m, v, want_s_above):
         if want_s_above is not None and s_after(xi8) <= want_s_above:
             continue
         return _e8_embed(m, xi8)
-    raise AssertionError("unreachable: content twist search failed")
+    raise InvariantError("unreachable: content twist search failed")
 
 
 def _e8_twist_grow_s(m, v, sq):
@@ -376,7 +379,7 @@ def enriques_reduce(v, m):
     while state.r != 1:
         guard += 1
         if guard > 500:
-            raise AssertionError("enriques reduction failed to terminate")
+            raise InvariantError("enriques reduction failed to terminate")
         r = state.r.numerator
 
         d1 = state.c.dot(f)       # sigma-coefficient of c_1
@@ -422,7 +425,7 @@ def _reduce_mixed_round(trace, m, state, v0, sq, d, twist_cls):
     """
     r = state.r.numerator
     if not (0 < 2 * abs(d) < r):
-        raise AssertionError("mixed round needs 0 < 2|d| < r")
+        raise InvariantError("mixed round needs 0 < 2|d| < r")
     eta = _e8_twist_grow_s(m, state, sq)
     if eta is not None:
         state = _twist_step(trace, m, state, eta, "grow s beyond <v^2>", sq)
@@ -433,7 +436,7 @@ def _reduce_mixed_round(trace, m, state, v0, sq, d, twist_cls):
     state = _twist_step(trace, m, state, twist_cls.scale(k), "lower the rank", sq)
     state = _swap_step(trace, m, state, v0, sq)
     if state.r.numerator >= r:
-        raise AssertionError("mixed round did not lower the rank")
+        raise InvariantError("mixed round did not lower the rank")
     return state
 
 
@@ -447,7 +450,7 @@ def _reduce_e8_case(trace, m, state, v0, sq, sigma, f):
     s = _s_param(state)
     l = gcd(r, state.c.content())
     if gcd(l, s) != 1:
-        raise AssertionError("primitivity must force gcd(l, s) = 1")
+        raise InvariantError("primitivity must force gcd(l, s) = 1")
     state = _swap_step(trace, m, state, v0, sq)
 
     # rank is now the old s (> <v^2>); make c_1 itself primitive
@@ -455,29 +458,50 @@ def _reduce_e8_case(trace, m, state, v0, sq, sigma, f):
     if xi is not None:
         state = _twist_step(trace, m, state, xi, "make c1 primitive", sq)
     if state.c.content() != 1:
-        raise AssertionError("c1 should be primitive now")
+        raise InvariantError("c1 should be primitive now")
 
     # solve 2(eta, c1) = s - 1 and twist by D = sigma - ((eta^2)/2) f + eta
     s_cur = _s_param(state)
     if (s_cur - 1) % 2:
-        raise AssertionError("s parameter must be odd")
+        raise InvariantError("s parameter must be odd")
     eta8 = _solve_pairing(m.ns, (0, 0) + _e8_part(state.c), (s_cur - 1) // 2)
     eta = m.ns.cls(eta8)
     eta_sq = eta.self_intersection()
     D = sigma - f.scale(eta_sq / 2) + eta
     if D.self_intersection() != 0:
-        raise AssertionError("isotropic twist class expected")
+        raise InvariantError("isotropic twist class expected")
     state = _twist_step(trace, m, state, D, "drive s to 1", sq)
     if _s_param(state) != 1:
-        raise AssertionError("s = 1 expected after the isotropic twist")
+        raise InvariantError("s = 1 expected after the isotropic twist")
     state = _swap_step(trace, m, state, v0, sq)
     if state.r != 1:
-        raise AssertionError("E8 chain should end at rank one")
+        raise InvariantError("E8 chain should end at rank one")
     return state
 
 
 # ---------------------------------------------------------------------------
 # Elliptic Euclid reduction
+
+
+# Largest trace elliptic_gcd_reduce builds.  Its length is not bounded by
+# the size of the input: (r, d) = (10^6, -1) needs 2 * 10^6 - 1 steps.
+MAX_TRACE_STEPS = 10 ** 5
+
+
+def _euclid_steps(r, d):
+    """The number of steps elliptic_gcd_reduce records for coprime (r, d),
+    r > 1, in O(log r): the ranks after each swap follow x' = x - (p mod x)
+    from the pair (p, x), and a run of equal differences p - x < x is
+    counted at once."""
+    p, x = r, d % r or r
+    steps = 1 + (x != d)
+    while x != 1:
+        delta = p % x
+        # while x > delta the ranks fall by delta per swap
+        run = -(-x // delta) - 1 if p < 2 * x else 1
+        p, x = x - (run - 1) * delta, x - run * delta
+        steps += 2 * run
+    return steps
 
 
 def elliptic_gcd_reduce(r, d):
@@ -492,6 +516,9 @@ def elliptic_gcd_reduce(r, d):
         raise PreconditionError("rank-not-positive")
     if gcd(r, d) != 1:
         raise PreconditionError("gcd-not-one")
+    if r > 1 and _euclid_steps(r, d) > MAX_TRACE_STEPS:
+        raise PreconditionError("trace-too-long",
+                                "more than %d trace steps" % MAX_TRACE_STEPS)
     trace = MoveTrace()
     trace.invariant_log.append((None, gcd(r, abs(d))))
     trace.final = (r, d)
@@ -514,7 +541,7 @@ def elliptic_gcd_reduce(r, d):
         state = normalize(state)
         r0, d0 = state
         if r0 == d0:
-            raise AssertionError("coprimality rules out r == d > 1")
+            raise InvariantError("coprimality rules out r == d > 1")
         new = (d0, -r0)
         trace.record("fm_swap", {"kind": "relative-jacobian"}, state, new, (None, 1))
         state = new
@@ -564,7 +591,7 @@ def filtration_stack_dim(vs, dims, m):
         sum((mukai_square(w) + 1 for w in vs), Fraction(0)) + cross)
     deficit = cross - (s - 1)
     if first_display != deficit:
-        raise AssertionError("the two displayed dimension forms must agree")
+        raise InvariantError("the two displayed dimension forms must agree")
     sum_form = sum((rat(x) for x in dims), Fraction(0)) + cross
     return FiltrationDims(sum_form, deficit)
 

@@ -344,9 +344,21 @@ def cor_ext_map(model, k):
     """r + c*D - a*omega  ->  a - c*D_hat - r*omega  (D = e - k f).
 
     The sign -1 realizes the minus sign in the stability-transport
-    statements for this kernel.
+    statements for this kernel.  On (r, e, f, t) numerators the transform
+    is the swap (r, c, t) -> (t, c, r) for every k, so the matrix is
+    written down instead of built by isotropic_fm_map, which gives the
+    same matrix and stays the general path (tests compare the two).
+    H = e + k f needs (H^2) = 2k > 0.
     """
-    return isotropic_fm_map(cor_ext_context(model, k), sign=-1)
+    ctx = cor_ext_context(model, k)
+    # v1 = (1, 0, 0) is refused only on a half-integral model
+    _check_isotropic_kernel(ctx.v1, model)
+    if k < 0:
+        raise PreconditionError("polarization-not-positive", "(H^2) must be > 0")
+    if k == 0:
+        raise PreconditionError("degenerate-polarization", "(H^2) must be nonzero")
+    swap = [[0, 0, 0, 1], [0, 1, 0, 0], [0, 0, 1, 0], [1, 0, 0, 0]]
+    return CohMap("isotropic_fm", model, model, (swap, 1), sign=-1, params={"ctx": ctx})
 
 
 @record

@@ -171,7 +171,9 @@ def walls_dim1(g, H, box, m):
     rows = xi.lattice._rows
     xh = _form(rows, xi.num, H.num)
     cn, cd = chi.numerator, chi.denominator
-    out = []
+    # every family's n range first, so an oversized call is refused before
+    # any wall is built
+    families, total = [], 0
     for D in effective_decompositions(m, xi):
         dh = _form(rows, D.num, H.num)
         F = _gram_mul(rows, [xh * a - dh * b for a, b in zip(D.num, xi.num)])
@@ -184,15 +186,20 @@ def walls_dim1(g, H, box, m):
         den = xh * cd * L
         n_lo = -((-lo * cd - cn * dh * L) // den)
         n_hi = (hi * cd + cn * dh * L) // den
+        if n_lo <= n_hi:
+            total += n_hi - n_lo + 1
+            families.append((D, F, content, dh, n_lo, n_hi))
+    if total > MAX_WALL_WORK:
+        raise PreconditionError("walls-too-large",
+                                "more than %d walls in the box" % MAX_WALL_WORK)
+    out = []
+    for D, F, content, dh, n_lo, n_hi in families:
         # normal0 = +-F/content with positive leading entry, so the wall is
         # normal0 . alpha = (a1 n + b1) / q0; clearing that denominator
         # gives each wall's coprime (normal, offset)
         sign = 1 if next(x for x in F if x) > 0 else -1
         normal0 = [sign * x // content for x in F]
         a1, b1, q0 = sign * xh * cd, -sign * cn * dh, content * cd
-        if len(out) + n_hi - n_lo + 1 > MAX_WALL_WORK:
-            raise PreconditionError("walls-too-large",
-                                    "more than %d walls in the box" % MAX_WALL_WORK)
         scaled = {}
         for n in range(n_lo, n_hi + 1):
             p = a1 * n + b1

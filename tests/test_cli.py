@@ -2,6 +2,7 @@ import io
 import json
 import random
 import time
+from importlib import resources
 
 import pytest
 
@@ -507,3 +508,126 @@ def test_walls_fuzz_exits_cleanly():
         assert time.perf_counter() - start < 1.0, job
         codes.add((job.subcommand, code))
     assert codes == {(sub, code) for sub in ("walls", "chamberpath") for code in (0, 1, 2)}
+
+
+EK3_RANK3 = {"kind": "k3", "gram": [[-2, 1, 0], [1, 0, 0], [0, 0, -2]],
+             "basis": ["sigma", "f", "d0"], "polarization": [1, 3, 0]}
+FIXTURE_JOBS = [json.loads(resources.files("mukailab").joinpath("fixtures/%s.json" % name)
+                           .read_text())["job"] for name in ("reduce", "transform")]
+FUZZ_LEAVES = (0, 1, -1, 2, 3, 7, -13, 10 ** 6, 10 ** 30, "x", None, True, 2.5, "3", "1/2",
+               [1], 1e300, {}, "cor_ext", "rank-one", "enriques", "elliptic-jacobian")
+
+
+def _reduce_and_transform_jobs(rng):
+    """The bundled reduce and transform fixtures and the cli-batch shapes:
+    (subcommand, surface, inputs, extra)."""
+    def vec(rank, half=False):
+        return {"r": rng.randint(-7, 7), "c": [rng.randint(-3, 3) for _ in range(rank)],
+                "t": "%d/2" % rng.randint(-9, 9) if half else rng.randint(-9, 9)}
+
+    abelian = dict(K3U, kind="abelian")
+    return [(f["subcommand"], f.get("surface"), f["inputs"], f.get("extra")) for f in FIXTURE_JOBS] + [
+        ("reduce", rng.choice((K3U, abelian)),
+         {"kind": "rank-one", "l": rng.randint(1, 5), "r": rng.randint(1, 7),
+          "c1": [rng.randint(-6, 6), rng.randint(-6, 6)], "a": rng.randint(-9, 9)}, None),
+        ("reduce", {"kind": "enriques"},
+         {"kind": "enriques", "v": {"r": rng.choice((1, 3, 5, 7)),
+                                    "c": [rng.randint(-2, 2) for _ in range(10)],
+                                    "t": "%d/2" % rng.choice((-7, -5, -3, -1, 1, 3))}}, None),
+        ("reduce", None, {"r": rng.randint(1, 60), "d": rng.randint(-60, 60)},
+         {"kind": "elliptic-jacobian"}),
+        ("transform", abelian, {"map": {"kind": "twist", "params": {"D": ["1/2", 1]}},
+                                "vector": vec(2)}, None),
+        ("transform", K3U, {"map": {"kind": "cor_ext", "params": {"k": rng.randint(1, 6)}},
+                            "vector": vec(2)}, None),
+        ("transform", {"kind": "enriques"}, {"map": {"kind": "enriques_reflection"},
+                                             "vector": vec(10, half=True)}, None),
+        ("transform", K3U, {"map": [{"kind": "twist", "params": {"D": [1, 2]}},
+                                    {"kind": "cor_ext", "params": {"k": 2}}],
+                            "vector": vec(2)}, None),
+        ("transform", abelian, {"map": {"kind": "isotropic_fm", "params": {
+            "v1": {"r": 1, "c": [0, 0], "t": 0}, "w1": {"r": 1, "c": [0, 0], "t": 0},
+            "H": [1, 2], "H_hat": [1, 2]}}, "vector": vec(2)}, None),
+        ("transform", EK3_RANK3, {"map": {"kind": "elliptic_jacobian"},
+                                  "vector": {"r": 1, "c": [0, 2, 1], "t": 3}}, None),
+        ("transform", ELLIPTIC_K3, {"map": {"kind": "elliptic_relative", "params": RELATIVE},
+                                    "vector": {"r": 3, "c": [-2, 3], "t": -3}}, None),
+    ]
+
+
+def _mutate(rng, doc):
+    """doc with one random leaf replaced, or one object key or list entry
+    dropped or added."""
+    if isinstance(doc, dict) and doc:
+        key = rng.choice(sorted(doc))
+        if rng.random() < 0.15:
+            return {k: v for k, v in doc.items() if k != key}
+        return dict(doc, **{key: _mutate(rng, doc[key])})
+    if isinstance(doc, list) and doc and rng.random() < 0.8:
+        if rng.random() < 0.1:
+            return doc[:-1] if rng.random() < 0.5 else doc + [1]
+        i = rng.randrange(len(doc))
+        return doc[:i] + [_mutate(rng, doc[i])] + doc[i + 1:]
+    return rng.choice(FUZZ_LEAVES)
+
+
+def test_reduce_and_transform_fuzz_exits_cleanly():
+    # seeded random mutations of the bundled reduce/transform fixtures and of
+    # the benchmark's cli-batch job shapes through cli.run: every run ends
+    # with 0 ok / 1 domain error / 2 parse error / 3 invariant failure, quickly
+    rng = random.Random(20261018)
+    surfaces = (K3U, {"kind": "enriques"}, ELLIPTIC_K3, EK3_RANK3, dict(K3U, half_integral=True),
+                dict(K3U, gram=[[2, 0], [0, -2]]), None, "x", {"kind": "k3"})
+    codes = set()
+    for _ in range(400):
+        sub, surface, inputs, extra = rng.choice(_reduce_and_transform_jobs(rng))
+        for _ in range(rng.choice((0, 1, 1, 2, 3))):
+            what = rng.random()
+            if what < 0.15:
+                surface = rng.choice(surfaces)
+            elif what < 0.2 and extra:
+                extra = _mutate(rng, extra)
+            else:
+                inputs = _mutate(rng, inputs)
+        job = JobSpec(sub, surface=surface, inputs=inputs, extra=extra,
+                      output_format=rng.choice(("json", "tsv")))
+        start = time.perf_counter()
+        code, out = run_job(job)
+        assert code in (0, 1, 2, 3), (job, out)
+        assert time.perf_counter() - start < 1.0, job
+        codes.add((sub, code))
+    assert codes == {(sub, code) for sub in ("reduce", "transform") for code in (0, 1, 2)}
+
+
+@pytest.mark.parametrize("r,d", [(10 ** 6, -1), (10 ** 30, -1), (10 ** 6, -9)])
+def test_long_euclid_traces_are_refused_at_once(r, d):
+    start = time.perf_counter()
+    code, out = run_job(JobSpec("reduce", inputs={"r": r, "d": d},
+                                extra={"kind": "elliptic-jacobian"}))
+    assert time.perf_counter() - start < 0.2
+    assert code == 1 and out.startswith("domain error [trace-too-long]")
+
+
+def test_cor_ext_needs_a_positive_k(capsys):
+    for k, name in ((-1, "polarization-not-positive"), (-7, "polarization-not-positive"),
+                    (0, "degenerate-polarization")):
+        code, out = _transform(capsys, {"kind": "cor_ext", "params": {"k": k}})
+        assert code == 1 and out.startswith("domain error [%s]" % name)
+
+
+def test_invariant_failure_exits_3_without_traceback(monkeypatch, capsys):
+    from mukailab import InvariantError, identity_map, k3_model, reductions
+    # a "swap" that changes nothing: the chain cannot reach rank one
+    monkeypatch.setattr(reductions, "cor_ext_map", lambda m, k: identity_map(m))
+    doc = {"l": 1, "r": 2, "c1": [0, 1], "a": -1}
+    code, out = run_job(JobSpec("reduce", surface=K3U, inputs=doc, extra={"kind": "rank-one"}))
+    assert (code, out) == (3, "internal error: invariant failed: reduction did not reach rank one\n")
+    assert main(["reduce", "--kind", "rank-one", "--surface", json.dumps(K3U),
+                 "--in", json.dumps(doc)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == out and "Traceback" not in captured.err
+    # library callers that catch AssertionError keep working
+    m = k3_model()
+    with pytest.raises(AssertionError) as err:
+        reductions.reduce_to_rank_one(1, 2, m.cls((0, 1)), -1, m)
+    assert isinstance(err.value, InvariantError)

@@ -155,6 +155,23 @@ def test_elliptic_gcd_rejects_common_factor():
         elliptic_gcd_reduce(4, 2)
 
 
+def test_euclid_step_count_matches_the_trace(monkeypatch):
+    import random
+    from mukailab import reductions
+    rng = random.Random(6)
+    pairs = [(r, d) for r in range(2, 120) for d in range(-300, 300)]
+    pairs += [(rng.randint(2, 10 ** 5), rng.randint(-10 ** 6, 10 ** 6)) for _ in range(2000)]
+    for r, d in pairs:
+        if gcd(r, d) == 1:
+            assert reductions._euclid_steps(r, d) == len(elliptic_gcd_reduce(r, d).steps), (r, d)
+    # the limit itself is allowed; (40, -1) takes 78 steps
+    monkeypatch.setattr(reductions, "MAX_TRACE_STEPS", 78)
+    assert len(elliptic_gcd_reduce(40, -1).steps) == 78
+    monkeypatch.setattr(reductions, "MAX_TRACE_STEPS", 77)
+    with pytest.raises(PreconditionError, match="trace-too-long"):
+        elliptic_gcd_reduce(40, -1)
+
+
 # --- filtration dimensions -----------------------------------------------------
 
 

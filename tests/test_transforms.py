@@ -14,7 +14,7 @@ from mukailab import (EllipticRelativeParams, GammaTriple, IsotropicContext,
                       isotropic_coords, isotropic_fm, isotropic_fm_map,
                       isotropic_reconstruct, k3_model, mukai_pair,
                       mukai_square, twist_map, vector_of_gamma)
-from mukailab.lattice import random_mukai_vector
+from mukailab.lattice import random_mukai_vector, replace
 
 from helpers import (consistent_relative_map, domain_sampler, elliptic_k3,
                      inconsistent_relative_map, isotropic_fm_formula,
@@ -120,6 +120,47 @@ def test_cor_ext_verbatim(abelian_u, rng):
         img = cmap.apply(v)
         assert img == abelian_u.vector(a, (-D_hat.scale(c)).coords, -r)
         assert mukai_square(img) == mukai_square(v) == 2 * r * a - 2 * k * c * c
+
+
+def test_cor_ext_closed_form_matches_the_general_builder(abelian_u, k3_u):
+    # the general isotropic builder is the reference: for k >= 1 both give
+    # one map; for k <= -1 the general builder still gives the same swap
+    # matrix, but H = e + k f has (H^2) = 2k < 0 and cor_ext_map refuses
+    for m in (abelian_u, k3_u):
+        for k in range(-20, 21):
+            if k == 0:
+                continue
+            ctx = cor_ext_context(m, k)
+            ref = isotropic_fm_map(ctx, sign=-1)
+            if k < 0:
+                with pytest.raises(PreconditionError) as err:
+                    cor_ext_map(m, k)
+                assert err.value.precondition == "polarization-not-positive"
+                closed = cor_ext_map(m, -k)
+            else:
+                closed = cor_ext_map(m, k)
+                assert closed.params == {"ctx": ctx}
+            assert (closed._rows, closed._den) == (ref._rows, ref._den)
+            assert closed._checks == ref._checks == ()
+            assert (closed.kind, closed.sign, closed.source, closed.target) == \
+                (ref.kind, ref.sign, ref.source, ref.target)
+            assert check_isometry(closed)
+
+
+@pytest.mark.parametrize("surface,k,name", [
+    (None, 0, "degenerate-polarization"),
+    (k3_model(gram=((2, 0), (0, -2)), names=("h", "d"), polarization=(1, 0)), 1, "model-shape"),
+    (replace(k3_model(), half_integral=True), 2, "non-integral-vector"),
+])
+def test_cor_ext_refusals_match_the_general_builder(abelian_u, surface, k, name):
+    m = surface or abelian_u
+    with pytest.raises(PreconditionError) as err:
+        cor_ext_map(m, k)
+    assert err.value.precondition == name
+    if name != "model-shape":
+        with pytest.raises(PreconditionError) as err:
+            isotropic_fm_map(cor_ext_context(m, k), sign=-1)
+        assert err.value.precondition == name
 
 
 def test_isotropic_fm_square_example(abelian_u):

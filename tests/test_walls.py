@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction as F
 from itertools import product
 from math import gcd
@@ -511,3 +512,13 @@ def test_walls_work_guard(elliptic, monkeypatch):
     monkeypatch.setattr(walls_mod, "MAX_WALL_WORK", n_walls - 1)
     with pytest.raises(PreconditionError, match="walls-too-large"):
         walls_dim1(g, H, BOX, elliptic)
+
+
+def test_oversized_wall_list_is_refused_before_any_wall_is_built(elliptic):
+    # every decomposition's n range is summed first: this call, with over
+    # 10^6 walls in the box, once built ~10^6 of them in ~1.6 s before refusing
+    g = GammaTriple(0, elliptic.cls((20, 30)), 1)
+    start = time.perf_counter()
+    with pytest.raises(PreconditionError, match="walls-too-large"):
+        walls_dim1(g, elliptic.cls((1, 3)), ((-66, 66), (-66, 66)), elliptic)
+    assert time.perf_counter() - start < 0.2
