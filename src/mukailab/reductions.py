@@ -20,12 +20,12 @@ parabolic Euler-characteristic arithmetic.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 from ._record import record
 from .errors import InvariantError, PreconditionError
-from .lattice import (SurfaceModel, hyperbolic_lattice, mukai_pair,
-                      mukai_square, rat, twist, vector_stats)
+from .lattice import (SurfaceModel, hyperbolic_lattice, integral_coordinates,
+                      mukai_pair, mukai_square, rat, twist, vector_stats)
 from .series import LaurentPoly, hilb_series
 from .transforms import cor_ext_map, enriques_reflection
 
@@ -54,9 +54,23 @@ class MoveTrace:
         self.final = after
 
 
-def _vector_invariants(v, m):
-    st = vector_stats(v, m)
-    return (st.square, st.multiplicity)
+def _invariants(v, m):
+    """(<v^2>, m(v)): the pair every rank-one and Enriques move keeps."""
+    return mukai_square(v), gcd(*integral_coordinates(v, m))
+
+
+def _start(v, m):
+    return MoveTrace(invariant_log=[_invariants(v, m)], final=v)
+
+
+def _step(trace, move, params, v, w, m):
+    """Record the move v -> w on the model m and return w, after checking
+    that w has the Mukai square and multiplicity the chain started with."""
+    invariants = _invariants(w, m)
+    if invariants != trace.invariant_log[0]:
+        raise InvariantError("%s changed the Mukai square or the multiplicity" % move)
+    trace.record(move, params, v, w, invariants)
+    return w
 
 
 # ---------------------------------------------------------------------------
@@ -65,6 +79,10 @@ def _vector_invariants(v, m):
 
 ENRIQUES_DEFAULT_HODGE = LaurentPoly({(0, 0): 1, (1, 1): 10, (2, 2): 1})
 
+# Largest n = (<v^2> + 1)/2 enriques_reduce accepts: e(X^[n]) costs about
+# n^4 (n = 100 takes ~1.2 s), so larger orders are refused up front.
+MAX_HILBERT_ORDER = 100
+
 _enriques_hilb_cache = []
 
 
@@ -72,12 +90,13 @@ def _enriques_hilb(n):
     """e(X^[n]) for the default Enriques Hodge polynomial.
 
     The series is cached in a module-level list that at least doubles
-    each time n passes its end, so growing n costs O(log n) refills.
-    The cache is global mutable state and is not thread-safe.
+    each time n passes its end, up to MAX_HILBERT_ORDER, so growing n
+    costs O(log n) refills.  The cache is global mutable state and is not
+    thread-safe.
     """
     if n >= len(_enriques_hilb_cache):
-        _enriques_hilb_cache[:] = hilb_series(
-            ENRIQUES_DEFAULT_HODGE, max(n, 2 * len(_enriques_hilb_cache), 8))
+        _enriques_hilb_cache[:] = hilb_series(ENRIQUES_DEFAULT_HODGE, max(
+            n, min(2 * len(_enriques_hilb_cache), MAX_HILBERT_ORDER), 8))
     return _enriques_hilb_cache[n]
 
 
@@ -116,9 +135,7 @@ def reduce_to_rank_one(l, r, c1, a, m):
         return e_cls - f_cls.scale(k)
 
     v0 = m.vector(l * r, c1.scale(l), a)
-    trace = MoveTrace()
-    trace.invariant_log.append(_vector_invariants(v0, m))
-    trace.final = v0
+    trace = _start(v0, m)
     if l == 1 and r == 1:
         return trace
 
@@ -127,16 +144,14 @@ def reduce_to_rank_one(l, r, c1, a, m):
     lam = max(_ceil_div(1 + c1sq // 2, r), _ceil_div(1 + a, l))
     b = -a + l * lam
     k = -(c1sq // 2) + r * lam
-    v1 = target.vector(l * r, emkf(k).scale(l), -b)
-    trace.record("deform", {"lambda": lam, "b": b, "k": k}, v0, v1,
-                 _vector_invariants(v1, target))
+    v1 = _step(trace, "deform", {"lambda": lam, "b": b, "k": k}, v0,
+               target.vector(l * r, emkf(k).scale(l), -b), target)
 
     # the cor_ext transform is one matrix for every k >= 1 (k' and k'' are
     # >= 1 by the choice of lambda'), so one map serves all three swaps
     swap = cor_ext_map(target, k)
-    v2 = swap.apply(v1)
-    trace.record("fm_swap", {"kind": "rank2-isotropic", "k": k}, v1, v2,
-                 _vector_invariants(v2, target))
+    v2 = _step(trace, "fm_swap", {"kind": "rank2-isotropic", "k": k}, v1,
+               swap.apply(v1), target)
 
     # deform: b' = l*r + lambda', k' = l^2 k + b lambda'; lambda' minimal
     # with k' >= 1, b' >= 1 and k'' >= 1 for the following step
@@ -148,21 +163,15 @@ def reduce_to_rank_one(l, r, c1, a, m):
     k3 = l * r * (1 - b) + l * l * k + lam2
     if min(k2, k3) < 1:
         raise InvariantError("k' and k'' must be >= 1 for the cor_ext swap")
-    v3 = target.vector(b, emkf(k2), -b2)
-    trace.record("deform", {"lambda'": lam2, "b'": b2, "k'": k2}, v2, v3,
-                 _vector_invariants(v3, target))
-
-    v4 = swap.apply(v3)
-    trace.record("fm_swap", {"kind": "rank2-isotropic", "k": k2}, v3, v4,
-                 _vector_invariants(v4, target))
+    v3 = _step(trace, "deform", {"lambda'": lam2, "b'": b2, "k'": k2}, v2,
+               target.vector(b, emkf(k2), -b2), target)
+    v4 = _step(trace, "fm_swap", {"kind": "rank2-isotropic", "k": k2}, v3,
+               swap.apply(v3), target)
 
     # deform to omega-coefficient -1
-    v5 = target.vector(b2, -emkf(k3), -1)
-    trace.record("deform", {"k''": k3}, v4, v5, _vector_invariants(v5, target))
-
-    v6 = swap.apply(v5)
-    trace.record("fm_swap", {"kind": "rank2-isotropic", "k": k3}, v5, v6,
-                 _vector_invariants(v6, target))
+    v5 = _step(trace, "deform", {"k''": k3}, v4, target.vector(b2, -emkf(k3), -1), target)
+    v6 = _step(trace, "fm_swap", {"kind": "rank2-isotropic", "k": k3}, v5,
+               swap.apply(v5), target)
 
     if v6.r != 1:
         raise InvariantError("reduction did not reach rank one")
@@ -266,26 +275,18 @@ def _s_param(v):
     return s.numerator
 
 
-def _twist_step(trace, m, v, D, note, sq):
-    w = twist(v, D)
-    trace.record("twist", {"D": tuple(str(x) for x in D.coords), "note": note},
-                 v, w, _vector_invariants(w, m))
-    if mukai_square(w) != sq:
-        raise InvariantError("twist changed the Mukai square")
-    return w
+def _twist_step(trace, m, v, D, note):
+    return _step(trace, "twist", {"D": tuple(str(x) for x in D.coords), "note": note},
+                 v, twist(v, D), m)
 
 
-def _swap_step(trace, m, v, v0, sq):
+def _swap_step(trace, m, v, v0):
     # reflection precondition of the Hodge-polynomial swap: (c^2) < 0
     if v.c.self_intersection() >= 0:
         raise PreconditionError("reflection-precondition",
                                 "(c1^2) < 0 required for the r <-> s swap")
-    w = -enriques_reflection(v0, v)
-    trace.record("fm_swap", {"kind": "minus-one-reflection"}, v, w,
-                 _vector_invariants(w, m))
-    if mukai_square(w) != sq:
-        raise InvariantError("reflection changed the Mukai square")
-    return w
+    return _step(trace, "fm_swap", {"kind": "minus-one-reflection"}, v,
+                 -enriques_reflection(v0, v), m)
 
 
 def _e8_twist_for_content_and_s(m, v, want_s_above):
@@ -331,17 +332,21 @@ def _e8_twist_for_content_and_s(m, v, want_s_above):
 
 
 def _e8_twist_grow_s(m, v, sq):
-    """Smallest nonnegative-multiple twist eta in E8(-1) with s > <v^2>;
-    keeps the sigma/f components of c_1 untouched."""
-    if _s_param(v) > sq:
+    """Smallest positive multiple eta = M e1 of the first E8(-1) basis class
+    with s(v exp(eta)) > <v^2>; keeps the sigma/f components of c_1.
+
+    With p = (c_1, e1) and (e1^2) = -2 the twist gives s' = s - 2pM + 2rM^2,
+    so M starts just below the larger root of s' = <v^2> and steps up at
+    most twice."""
+    s = _s_param(v)
+    if s > sq:
         return None
-    basis = (1, 0, 0, 0, 0, 0, 0, 0)
-    M = 1
-    while True:
-        eta = _e8_embed(m, tuple(M * x for x in basis))
-        if _s_param(twist(v, eta)) > sq:
-            return eta
+    e1 = _e8_embed(m, (1, 0, 0, 0, 0, 0, 0, 0))
+    r, p = v.r.numerator, v.c.dot(e1).numerator
+    M = max(1, (2 * p + isqrt(4 * p * p - 8 * r * (s - sq))) // (4 * r))
+    while s - 2 * p * M + 2 * r * M * M <= sq:
         M += 1
+    return e1.scale(M)
 
 
 def enriques_reduce(v, m):
@@ -349,71 +354,55 @@ def enriques_reduce(v, m):
 
     Emits n = (<v^2> + 1)/2 and e(X^[n]) for the default Enriques Hodge
     polynomial.  Errors: even rank, non-primitive input, <v^2> < -1 (the
-    moduli space is empty below that bound).
+    moduli space is empty below that bound), n > MAX_HILBERT_ORDER.
     """
     if m.kind != "enriques":
         raise PreconditionError("surface-kind")
     if v.r.denominator != 1 or v.r <= 0 or v.r.numerator % 2 == 0:
         raise PreconditionError("even-rank", "rank must be odd and positive")
-    stats = vector_stats(v, m)
-    if stats.multiplicity != 1:
+    trace = _start(v, m)
+    sq, mult = trace.invariant_log[0]
+    if mult != 1:
         raise PreconditionError("non-primitive")
-    sq = stats.square
     if sq < -1:
         raise PreconditionError("square-below-minus-one",
                                 "moduli are empty for <v^2> < -1")
     if sq.denominator != 1 or sq.numerator % 2 == 0:
         raise PreconditionError("even-square", "odd rank forces odd <v^2>")
     sq = sq.numerator
+    n = (sq + 1) // 2
+    if n > MAX_HILBERT_ORDER:
+        raise PreconditionError("hilbert-order-too-large",
+                                "n = (<v^2>+1)/2 = %d exceeds %d" % (n, MAX_HILBERT_ORDER))
 
     sigma = m.ns.named("sigma")
     f = m.ns.named("f")
     v0 = m.structure_sheaf_vector()
+    # d1 = (c_1, f) is the sigma-coefficient of c_1, d2 = (c_1, sigma) the
+    # f-coefficient; each is first shifted by r into (-r/2, r/2) (r odd)
+    halves = (("reduce |d1| mod r", f, sigma), ("reduce |d2| mod r", sigma, f))
 
-    trace = MoveTrace()
-    trace.invariant_log.append(_vector_invariants(v, m))
-    trace.final = v
     state = v
-
     guard = 0
     while state.r != 1:
         guard += 1
         if guard > 500:
             raise InvariantError("enriques reduction failed to terminate")
         r = state.r.numerator
-
-        d1 = state.c.dot(f)       # sigma-coefficient of c_1
-        if d1 != 0:
-            k = _nearest_residue_shift(d1, r)
+        for note, pair_cls, twist_cls in halves:
+            d = state.c.dot(pair_cls)
+            k = round(Fraction(-d, r))
             if k:
-                state = _twist_step(trace, m, state, sigma.scale(k), "reduce |d1| mod r", sq)
-                d1 = state.c.dot(f)
-        if d1 != 0:
-            state = _reduce_mixed_round(trace, m, state, v0, sq, d1, f)
-            continue
+                state = _twist_step(trace, m, state, twist_cls.scale(k), note)
+                d = state.c.dot(pair_cls)
+            if d != 0:
+                state = _reduce_mixed_round(trace, m, state, v0, sq, d, pair_cls)
+                break
+        else:
+            # c_1 lies in the E8(-1) part: the terminating chain
+            state = _reduce_e8_case(trace, m, state, v0, sq, sigma, f)
 
-        d2 = state.c.dot(sigma)   # f-coefficient of c_1
-        if d2 != 0:
-            k = _nearest_residue_shift(d2, r)
-            if k:
-                state = _twist_step(trace, m, state, f.scale(k), "reduce |d2| mod r", sq)
-                d2 = state.c.dot(sigma)
-        if d2 != 0:
-            state = _reduce_mixed_round(trace, m, state, v0, sq, d2, sigma)
-            continue
-
-        # c_1 lies in the E8(-1) part: the terminating chain
-        state = _reduce_e8_case(trace, m, state, v0, sq, sigma, f)
-
-    n2 = sq + 1
-    n = n2 // 2
     return EnriquesReduction(trace, n, _enriques_hilb(n))
-
-
-def _nearest_residue_shift(d, r):
-    """k minimizing |d + r k| (r odd, so the minimizer is unique)."""
-    k = round(Fraction(-d, r))
-    return k
 
 
 def _reduce_mixed_round(trace, m, state, v0, sq, d, twist_cls):
@@ -428,13 +417,13 @@ def _reduce_mixed_round(trace, m, state, v0, sq, d, twist_cls):
         raise InvariantError("mixed round needs 0 < 2|d| < r")
     eta = _e8_twist_grow_s(m, state, sq)
     if eta is not None:
-        state = _twist_step(trace, m, state, eta, "grow s beyond <v^2>", sq)
-    state = _swap_step(trace, m, state, v0, sq)
+        state = _twist_step(trace, m, state, eta, "grow s beyond <v^2>")
+    state = _swap_step(trace, m, state, v0)
     # choose k with 0 < r + 2 d k < 2|d|
     rho = r % (2 * abs(d))
     k = (rho - r) // (2 * d)
-    state = _twist_step(trace, m, state, twist_cls.scale(k), "lower the rank", sq)
-    state = _swap_step(trace, m, state, v0, sq)
+    state = _twist_step(trace, m, state, twist_cls.scale(k), "lower the rank")
+    state = _swap_step(trace, m, state, v0)
     if state.r.numerator >= r:
         raise InvariantError("mixed round did not lower the rank")
     return state
@@ -445,18 +434,18 @@ def _reduce_e8_case(trace, m, state, v0, sq, sigma, f):
     # make c_1 / gcd(r, c_1) primitive while pushing s above <v^2>
     xi = _e8_twist_for_content_and_s(m, state, sq)
     if xi is not None:
-        state = _twist_step(trace, m, state, xi, "normalize content, grow s", sq)
+        state = _twist_step(trace, m, state, xi, "normalize content, grow s")
     r = state.r.numerator
     s = _s_param(state)
     l = gcd(r, state.c.content())
     if gcd(l, s) != 1:
         raise InvariantError("primitivity must force gcd(l, s) = 1")
-    state = _swap_step(trace, m, state, v0, sq)
+    state = _swap_step(trace, m, state, v0)
 
     # rank is now the old s (> <v^2>); make c_1 itself primitive
     xi = _e8_twist_for_content_and_s(m, state, None)
     if xi is not None:
-        state = _twist_step(trace, m, state, xi, "make c1 primitive", sq)
+        state = _twist_step(trace, m, state, xi, "make c1 primitive")
     if state.c.content() != 1:
         raise InvariantError("c1 should be primitive now")
 
@@ -470,10 +459,10 @@ def _reduce_e8_case(trace, m, state, v0, sq, sigma, f):
     D = sigma - f.scale(eta_sq / 2) + eta
     if D.self_intersection() != 0:
         raise InvariantError("isotropic twist class expected")
-    state = _twist_step(trace, m, state, D, "drive s to 1", sq)
+    state = _twist_step(trace, m, state, D, "drive s to 1")
     if _s_param(state) != 1:
         raise InvariantError("s = 1 expected after the isotropic twist")
-    state = _swap_step(trace, m, state, v0, sq)
+    state = _swap_step(trace, m, state, v0)
     if state.r != 1:
         raise InvariantError("E8 chain should end at rank one")
     return state

@@ -214,10 +214,10 @@ class IsotropicContext:
     l*omega' - a*w1 + (d H_hat + D_hat + ...).
 
     ``hat_map`` carries H-perp classes to H_hat-perp classes and must be an
-    isometry; by default it is the identity on shared coordinates.  The two
+    isometry; by default it is the identity on shared coordinates.  The
     geometric hypotheses behind stability transport (the hatted
     polarization is general for w1; the kernel restricted to a point is
-    stable) cannot be decided numerically and are carried as booleans.
+    stable) cannot be decided numerically and are not modelled.
     """
 
     source: SurfaceModel
@@ -227,8 +227,6 @@ class IsotropicContext:
     H: NSClass
     H_hat: NSClass
     hat_map: object = None
-    assume_hat_polarization_general: bool = True
-    assume_kernel_fibers_stable: bool = True
 
     def map_perp(self, D):
         if self.hat_map is None:

@@ -7,7 +7,7 @@ from math import comb, gcd
 from mukailab import (Crossing, EllipticRelativeParams, GammaTriple, MukaiVector,
                       PreconditionError, elliptic_relative_map, generic_model,
                       isotropic_coords, k3_model, mukai_pair, mukai_square, rat,
-                      vector_of_gamma, vector_stats)
+                      twist, vector_of_gamma, vector_stats)
 from mukailab.lattice import random_mukai_vector
 
 
@@ -112,6 +112,22 @@ def random_enriques_vector(m, rng):
             continue
         return v
 
+
+
+def e8_twist_grow_s_by_search(m, v, sq):
+    """The first twist class M e1, M = 1, 2, ..., with s(v exp(M e1)) > sq,
+    found one twist at a time (e1 the first E8(-1) basis class; None when
+    s(v) > sq already): the search the closed form of
+    reductions._e8_twist_grow_s replaced."""
+    s_of = lambda w: -2 * w.t
+    if s_of(v) > sq:
+        return None
+    M = 1
+    while True:
+        eta = m.cls((0, 0, M) + (0,) * 7)
+        if s_of(twist(v, eta)) > sq:
+            return eta
+        M += 1
 
 def euclid_sequence(r, d):
     """Remainder sequence with remainders normalized into (0, m]."""

@@ -631,3 +631,105 @@ def test_invariant_failure_exits_3_without_traceback(monkeypatch, capsys):
     with pytest.raises(AssertionError) as err:
         reductions.reduce_to_rank_one(1, 2, m.cls((0, 1)), -1, m)
     assert isinstance(err.value, InvariantError)
+
+
+class _Doubling:
+    def apply(self, v):
+        return v.scale(2)
+
+
+def test_broken_moves_exit_3_without_traceback(monkeypatch, capsys):
+    from mukailab import enriques_reflection, reductions
+    # a swap that doubles its input breaks the Mukai square of either chain
+    monkeypatch.setattr(reductions, "cor_ext_map", lambda m, k: _Doubling())
+    monkeypatch.setattr(reductions, "enriques_reflection",
+                        lambda v0, v: enriques_reflection(v0, v).scale(2))
+    want = "internal error: invariant failed: fm_swap changed the Mukai square or the multiplicity\n"
+    for argv in (["reduce", "--kind", "rank-one", "--surface", json.dumps(K3U),
+                  "--in", json.dumps({"l": 1, "r": 2, "c1": [0, 1], "a": -1})],
+                 ["reduce", "--kind", "enriques", "--surface", '{"kind": "enriques"}',
+                  "--in", json.dumps({"v": {"r": 3, "c": [0] * 10, "t": "-1/2"}})]):
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == want and "Traceback" not in captured.err
+
+
+def test_large_hilbert_orders_are_refused_at_once():
+    # n = (<v^2>+1)/2 = 164 and 1.5 * 10^13: e(X^[n]) would take seconds to years
+    for v in ({"r": 3, "c": [1, 0, -18] + [0] * 7, "t": "-325/2"},
+              {"r": 3, "c": [0] * 10, "t": "-10000000000001/2"}):
+        start = time.perf_counter()
+        code, out = run_job(JobSpec("reduce", surface={"kind": "enriques"}, inputs={"v": v},
+                                    extra={"kind": "enriques"}))
+        assert time.perf_counter() - start < 0.2
+        assert code == 1 and out.startswith("domain error [hilbert-order-too-large]"), out
+
+
+def _other_jobs(rng):
+    """The bundled pair, wallsolve, epoly, dims and gitweight fixtures and
+    the cli-batch shapes of those subcommands: (subcommand, surface, inputs)."""
+    def vec(rank, half=False):
+        return {"r": rng.randint(-5, 5), "c": [rng.randint(-3, 3) for _ in range(rank)],
+                "t": "%d/2" % rng.randint(-7, 7) if half else rng.randint(-7, 7)}
+
+    def poly():
+        return {"terms": [[rng.randint(-2, 2), rng.randint(-2, 2), rng.randint(-5, 5) or 1]
+                          for _ in range(3)]}
+
+    def stratum(s):
+        mat = [[0] * s for _ in range(s)]
+        for i in range(s):
+            for j in range(i + 1, s):
+                mat[i][j] = mat[j][i] = rng.randint(-3, 3)
+        return {"pairings": mat, "factors": [poly() for _ in range(s)]}
+
+    n, lg = rng.randint(3, 12), rng.randint(1, 3)
+    fixtures = [json.loads(resources.files("mukailab").joinpath("fixtures/%s.json" % name)
+                           .read_text())["job"]
+                for name in ("pair", "wallsolve", "epoly", "dims", "gitweight")]
+    return [(f["subcommand"], f.get("surface"), f["inputs"]) for f in fixtures] + [
+        ("pair", K3U, {"v": vec(2), "w": vec(2)}),
+        ("pair", {"kind": "enriques"}, {"v": vec(10, half=True), "w": vec(10, half=True)}),
+        ("wallsolve", {"kind": "k3", "gram": [[2, 0], [0, -2 * n]], "basis": ["h", "d"],
+                       "polarization": [1, 0]},
+         {"v": {"r": 2, "c": [0, 0], "t": 1 - 2 * n}, "v_sub": {"r": 1, "c": [0, 1], "t": -n},
+          "H": [1, 0], "dir": [0, 1]}),
+        ("epoly", None, {"base": poly(), "strata": [stratum(rng.randint(2, 3)) for _ in range(2)]}),
+        ("dims", K3U, {"v": vec(2), "flavor": rng.choice(("stack", "coarse"))}),
+        ("dims", {"kind": "enriques"}, {"v": vec(10, half=True)}),
+        ("gitweight", None, {
+            "data": {"h_m": rng.randint(5, 30), "h_i_m": [rng.randint(0, 4) for _ in range(lg)],
+                     "eps_i": ["%d/7" % rng.randint(0, 3) for _ in range(lg)],
+                     "a1": rng.randint(1, 5), "n": rng.randint(2, 9)},
+            "dims": {"dimV": rng.randint(4, 12), "dimVp": rng.randint(1, 4),
+                     "dim_alpha_VW": rng.randint(10, 50), "dim_alpha_VpW": rng.randint(0, 20),
+                     "dim_alpha_i_V": [rng.randint(0, 5) for _ in range(lg)],
+                     "dim_V_i": [rng.randint(0, 3) for _ in range(lg)]}}),
+    ]
+
+
+def test_other_subcommands_fuzz_exits_cleanly():
+    # seeded random mutations of the bundled pair, wallsolve, epoly, dims and
+    # gitweight fixtures and of the benchmark's cli-batch shapes through
+    # cli.run: every run ends with 0 ok / 1 domain error / 2 parse error /
+    # 3 invariant failure, quickly
+    rng = random.Random(20261019)
+    surfaces = (K3U, {"kind": "enriques"}, ELLIPTIC, ELLIPTIC_K3, RANK3, dict(K3U, kind="abelian"),
+                dict(K3U, gram=[[0, 1], [1]]), None, "x", {"kind": "k3"})
+    codes = set()
+    for _ in range(800):
+        sub, surface, inputs = rng.choice(_other_jobs(rng))
+        for _ in range(rng.choice((0, 1, 1, 2, 3))):
+            if rng.random() < 0.15:
+                surface = rng.choice(surfaces)
+            else:
+                inputs = _mutate(rng, inputs)
+        job = JobSpec(sub, surface=surface, inputs=inputs,
+                      output_format=rng.choice(("json", "tsv")))
+        start = time.perf_counter()
+        code, out = run_job(job)
+        assert code in (0, 1, 2, 3), (job, out)
+        assert time.perf_counter() - start < 1.0, job
+        codes.add((sub, code))
+    assert codes == {(sub, code) for sub in ("pair", "wallsolve", "epoly", "dims", "gitweight")
+                     for code in (0, 1, 2)}

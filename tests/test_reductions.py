@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction as F
 from math import gcd
 
@@ -11,8 +12,8 @@ from mukailab import (GitData, GitDims, PreconditionError,
                       trace_rank_sequence, vector_stats)
 from mukailab.lattice import k3_model
 
-from helpers import (euclid_sequence, random_enriques_vector,
-                     synthetic_git_data)
+from helpers import (e8_twist_grow_s_by_search, euclid_sequence,
+                     random_enriques_vector, synthetic_git_data)
 
 
 # --- rank-one reduction ------------------------------------------------------
@@ -115,6 +116,93 @@ def test_enriques_reduce_errors(enriques):
         # non-primitive: (3, 0, -3/2) = 3 * (1, 0, -1/2)
         enriques_reduce(enriques.vector(3, [0] * 10, F(-3, 2)), enriques)
 
+
+
+def test_e8_twist_grow_s_matches_the_search(enriques, rng):
+    from mukailab import reductions
+    for _ in range(400):
+        r = rng.choice((1, 3, 5, 7, 9))
+        c = enriques.cls([rng.randint(-2, 2) for _ in range(2)]
+                         + [rng.randint(-40, 40) for _ in range(8)])
+        s = 2 * rng.randint(-30, 30) + 1
+        v = enriques.vector(r, c, F(-s, 2))
+        sq = s + rng.choice((-1, 0, 1, rng.randint(0, 400)))
+        assert reductions._e8_twist_grow_s(enriques, v, sq) \
+            == e8_twist_grow_s_by_search(enriques, v, sq)
+
+
+def test_enriques_reduce_with_a_huge_e8_pairing_is_fast(enriques):
+    # v = (3, sigma + X^2 f + X e1, -1/2): <v^2> = 3, and the twist growing s
+    # needs M ~ |X| / 6 multiples of e1
+    X = -10 ** 6
+    v = enriques.vector(3, [1, X * X, X] + [0] * 7, F(-1, 2))
+    start = time.perf_counter()
+    red = enriques_reduce(v, enriques)
+    assert time.perf_counter() - start < 1.0
+    assert red.n == 2 and red.trace.final.r == 1
+    assert set(red.trace.invariant_log) == {(3, 1)}
+
+
+def test_enriques_hilbert_order_is_bounded(enriques, monkeypatch):
+    from mukailab import reductions
+    monkeypatch.setattr(reductions, "MAX_HILBERT_ORDER", 5)
+    # (1, 0, -s/2) has <v^2> = s and n = (s + 1)/2
+    assert enriques_reduce(enriques.vector(1, [0] * 10, F(-9, 2)), enriques).n == 5
+    with pytest.raises(PreconditionError) as err:
+        enriques_reduce(enriques.vector(1, [0] * 10, F(-11, 2)), enriques)
+    assert err.value.precondition == "hilbert-order-too-large"
+
+
+def test_enriques_hilb_refills_stop_at_the_bound(monkeypatch):
+    from mukailab import reductions
+    calls = []
+
+    def counted(hodge, n_max):
+        calls.append(n_max)
+        return hilb_series(hodge, n_max)
+
+    monkeypatch.setattr(reductions, "hilb_series", counted)
+    monkeypatch.setattr(reductions, "_enriques_hilb_cache", [])
+    monkeypatch.setattr(reductions, "MAX_HILBERT_ORDER", 20)
+    got = [reductions._enriques_hilb(n) for n in range(1, 21)]
+    assert got == hilb_series(reductions.ENRIQUES_DEFAULT_HODGE, 20)[1:]
+    assert calls == [8, 18, 20]
+
+
+# --- the checked move step -------------------------------------------------------
+
+
+def test_move_step_checks_the_square_and_the_multiplicity(k3_u):
+    from mukailab import InvariantError, reductions
+    v = k3_u.vector(1, (0, 0), -4)                     # <v^2> = 8, m(v) = 1
+    trace = reductions._start(v, k3_u)
+    assert trace.invariant_log == [(8, 1)] and trace.final == v
+    w = k3_u.vector(2, (1, 2), -1)                     # <w^2> = 8, m(w) = 1
+    assert reductions._step(trace, "deform", {"x": 1}, v, w, k3_u) == w
+    assert trace.invariant_log == [(8, 1), (8, 1)] and trace.final == w
+    assert trace.steps[-1] == reductions.MoveStep("deform", (("x", 1),), v, w)
+    for bad in (k3_u.vector(2, (0, 0), -2),            # <.^2> = 8, m = 2
+                k3_u.vector(1, (0, 0), -3)):           # <.^2> = 6, m = 1
+        with pytest.raises(InvariantError, match="deform changed the Mukai square"):
+            reductions._step(trace, "deform", {}, w, bad, k3_u)
+    assert len(trace.steps) == 1
+
+
+def test_broken_moves_raise_invariant_errors(abelian_u, enriques, monkeypatch):
+    from mukailab import InvariantError, reductions, twist
+
+    class Doubling:
+        def apply(self, v):
+            return v.scale(2)
+
+    monkeypatch.setattr(reductions, "cor_ext_map", lambda m, k: Doubling())
+    with pytest.raises(InvariantError, match="fm_swap changed"):
+        reduce_to_rank_one(1, 2, abelian_u.cls((0, 1)), -1, abelian_u)
+    # a twist that also adds the point class: <v^2> drops by 2r
+    point = enriques.vector(0, [0] * 10, 1)
+    monkeypatch.setattr(reductions, "twist", lambda v, D: twist(v, D) + point)
+    with pytest.raises(InvariantError, match="twist changed"):
+        enriques_reduce(enriques.vector(3, [0] * 10, F(-1, 2)), enriques)
 
 # --- elliptic Euclid reduction -------------------------------------------------
 
