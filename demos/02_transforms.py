@@ -33,11 +33,11 @@ print("stability transport applies:", rep.applicable,
 # With the structure-sheaf kernel the reflection swaps rank and the
 # omega-coefficient: r + c + (s/2) omega  ->  s + c + (r/2) omega.
 enr = M.enriques_model()
-v0 = enr.structure_sheaf_vector()
+refl = M.enriques_reflection_map(enr)          # kernel v0 = v(O_X) by default
 x = enr.vector(5, [1, 2, 1, 0, 0, 0, 0, 0, 0, 0], F(9, 2))
-y = M.enriques_reflection(v0, x)
+y = refl.apply(x)
 print("reflection:", (x.r, x.t), "->", (y.r, y.t))
-print("involution:", M.enriques_reflection(v0, y) == x)
+print("involution:", refl.apply(y) == x)
 
 # --- Elliptic surface with a section ---------------------------------------------
 # The compactified relative Jacobian acts on classes of relative degree 0:

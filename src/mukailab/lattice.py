@@ -37,13 +37,6 @@ def rat(x):
     raise PreconditionError("not-a-rational", repr(x))
 
 
-def _gcd_many(values):
-    g = 0
-    for v in values:
-        g = gcd(g, abs(v))
-    return g
-
-
 def _common_denominator(coords):
     """(integer numerators, positive denominator) of int/Fraction coordinates,
     over the least common denominator, so the pair is already in lowest terms."""
@@ -105,7 +98,7 @@ def _rref(rows, k):
             b = row[c]
             if j != i and b:
                 row = [top[c] * x - b * y for x, y in zip(row, top)]
-                g = _gcd_many(row)
+                g = gcd(*row)
                 rows[j] = [x // g for x in row] if g > 1 else row
         pivots.append(c)
     return rows, pivots
@@ -301,7 +294,7 @@ class NSClass(_Exact):
         """gcd of the (integral) coordinates; 0 for the zero class."""
         if self.den != 1:
             raise PreconditionError("non-integral-class")
-        return _gcd_many(self.num)
+        return gcd(*self.num)
 
     def int_coords(self):
         if self.den != 1:
@@ -563,22 +556,6 @@ def mukai_square(v):
     return mukai_pair(v, v)
 
 
-def mukai_mul(v, w):
-    """Cup product in the even cohomology ring (omega^2 = 0)."""
-    v._check(w)
-    a, b = v.num, w.num
-    r, s, c, d = a[0], b[0], a[1:-1], b[1:-1]
-    return _reduce(MukaiVector, v.lattice,
-                   (r * s, *(s * x + r * y for x, y in zip(c, d)),
-                    r * b[-1] + s * a[-1] + _form(v.lattice._rows, c, d)),
-                   v.den * w.den)
-
-
-def exp_class(D):
-    """exp(D) = (1, D, (D^2)/2); a homomorphism (NS tensor Q, +) -> units."""
-    return MukaiVector(1, D, D.self_intersection() / 2)
-
-
 def twist(v, D):
     """v . exp(D): tensoring with a (rational) line-bundle class, as one
     integer kernel over the denominator 2 q^2 den(v), q = den(D)."""
@@ -632,7 +609,7 @@ def vector_stats(v, m):
     """
     if v.is_zero():
         raise PreconditionError("zero-vector")
-    mult = _gcd_many(integral_coordinates(v, m))
+    mult = gcd(*integral_coordinates(v, m))
     prim = _reduce(MukaiVector, v.lattice, v.num, v.den * mult)
     sq = mukai_square(v)
     return VectorStats(sq, sq == 0, mult, prim)
@@ -661,14 +638,9 @@ def vector_of_gamma(g, m):
 
 
 # ---------------------------------------------------------------------------
-# Random sampling (used by isometry checks and the property suites)
-
-
-def random_ns_class(lat, rng, span=6, denom=4):
-    coords = [Fraction(rng.randint(-span, span), rng.randint(1, denom)) for _ in range(lat.rank)]
-    return NSClass(lat, tuple(coords))
+# Random sampling (used by the pair and transform selftests and the tests)
 
 
 def random_mukai_vector(model, rng, span=6, denom=4):
     q = lambda: Fraction(rng.randint(-span, span), rng.randint(1, denom))
-    return MukaiVector(q(), random_ns_class(model.ns, rng, span, denom), q())
+    return MukaiVector(q(), NSClass(model.ns, tuple(q() for _ in range(model.ns.rank))), q())

@@ -27,7 +27,7 @@ from .errors import InvariantError, PreconditionError
 from .lattice import (SurfaceModel, hyperbolic_lattice, integral_coordinates,
                       mukai_pair, mukai_square, rat, twist, vector_stats)
 from .series import LaurentPoly, hilb_series
-from .transforms import cor_ext_map, enriques_reflection
+from .transforms import cor_ext_map, enriques_reflection_map
 
 
 @record
@@ -280,13 +280,12 @@ def _twist_step(trace, m, v, D, note):
                  v, twist(v, D), m)
 
 
-def _swap_step(trace, m, v, v0):
+def _swap_step(trace, m, v, reflect):
     # reflection precondition of the Hodge-polynomial swap: (c^2) < 0
     if v.c.self_intersection() >= 0:
         raise PreconditionError("reflection-precondition",
                                 "(c1^2) < 0 required for the r <-> s swap")
-    return _step(trace, "fm_swap", {"kind": "minus-one-reflection"}, v,
-                 -enriques_reflection(v0, v), m)
+    return _step(trace, "fm_swap", {"kind": "minus-one-reflection"}, v, reflect.apply(v), m)
 
 
 def _e8_twist_for_content_and_s(m, v, want_s_above):
@@ -295,13 +294,8 @@ def _e8_twist_for_content_and_s(m, v, want_s_above):
     class, or None when no twist is needed."""
     r = v.r.numerator
     c8 = _e8_part(v.c)
-    gamma = 0
-    for x in c8:
-        gamma = gcd(gamma, abs(x))
+    gamma = gcd(*c8)
     l = gcd(r, gamma)
-
-    def s_after(xi8):
-        return _s_param(twist(v, _e8_embed(m, xi8)))
 
     if gamma == 0:
         # c = 0: need content(r*xi) = r, i.e. xi primitive; (1, N, 0, ...)
@@ -318,16 +312,12 @@ def _e8_twist_for_content_and_s(m, v, want_s_above):
     if not need_twist and (want_s_above is None or _s_param(v) > want_s_above):
         return None
 
+    # every candidate already has content l: r = l when gamma = 0, else
+    # gcd(gamma, r M) = l since gcd(M, gamma/l) = gcd(gamma/l, r/l) = 1
     for xi8 in candidates:
-        new_c8 = tuple(a + r * b for a, b in zip(c8, xi8))
-        g2 = 0
-        for x in new_c8:
-            g2 = gcd(g2, abs(x))
-        if g2 != l:
-            continue
-        if want_s_above is not None and s_after(xi8) <= want_s_above:
-            continue
-        return _e8_embed(m, xi8)
+        xi = _e8_embed(m, xi8)
+        if want_s_above is None or _s_param(twist(v, xi)) > want_s_above:
+            return xi
     raise InvariantError("unreachable: content twist search failed")
 
 
@@ -377,7 +367,8 @@ def enriques_reduce(v, m):
 
     sigma = m.ns.named("sigma")
     f = m.ns.named("f")
-    v0 = m.structure_sheaf_vector()
+    # the (-1)-reflection by v(O_X), negated: one matrix for every swap
+    reflect = enriques_reflection_map(m, sign=-1)
     # d1 = (c_1, f) is the sigma-coefficient of c_1, d2 = (c_1, sigma) the
     # f-coefficient; each is first shifted by r into (-r/2, r/2) (r odd)
     halves = (("reduce |d1| mod r", f, sigma), ("reduce |d2| mod r", sigma, f))
@@ -396,16 +387,16 @@ def enriques_reduce(v, m):
                 state = _twist_step(trace, m, state, twist_cls.scale(k), note)
                 d = state.c.dot(pair_cls)
             if d != 0:
-                state = _reduce_mixed_round(trace, m, state, v0, sq, d, pair_cls)
+                state = _reduce_mixed_round(trace, m, state, reflect, sq, d, pair_cls)
                 break
         else:
             # c_1 lies in the E8(-1) part: the terminating chain
-            state = _reduce_e8_case(trace, m, state, v0, sq, sigma, f)
+            state = _reduce_e8_case(trace, m, state, reflect, sq, sigma, f)
 
     return EnriquesReduction(trace, n, _enriques_hilb(n))
 
 
-def _reduce_mixed_round(trace, m, state, v0, sq, d, twist_cls):
+def _reduce_mixed_round(trace, m, state, reflect, sq, d, twist_cls):
     """One rank-lowering round when c_1 has a nonzero sigma/f coefficient d.
 
     ``twist_cls`` is the isotropic class used for the post-swap twist (f
@@ -418,18 +409,18 @@ def _reduce_mixed_round(trace, m, state, v0, sq, d, twist_cls):
     eta = _e8_twist_grow_s(m, state, sq)
     if eta is not None:
         state = _twist_step(trace, m, state, eta, "grow s beyond <v^2>")
-    state = _swap_step(trace, m, state, v0)
+    state = _swap_step(trace, m, state, reflect)
     # choose k with 0 < r + 2 d k < 2|d|
     rho = r % (2 * abs(d))
     k = (rho - r) // (2 * d)
     state = _twist_step(trace, m, state, twist_cls.scale(k), "lower the rank")
-    state = _swap_step(trace, m, state, v0)
+    state = _swap_step(trace, m, state, reflect)
     if state.r.numerator >= r:
         raise InvariantError("mixed round did not lower the rank")
     return state
 
 
-def _reduce_e8_case(trace, m, state, v0, sq, sigma, f):
+def _reduce_e8_case(trace, m, state, reflect, sq, sigma, f):
     """Terminating chain when c_1 lies in E8(-1)."""
     # make c_1 / gcd(r, c_1) primitive while pushing s above <v^2>
     xi = _e8_twist_for_content_and_s(m, state, sq)
@@ -440,7 +431,7 @@ def _reduce_e8_case(trace, m, state, v0, sq, sigma, f):
     l = gcd(r, state.c.content())
     if gcd(l, s) != 1:
         raise InvariantError("primitivity must force gcd(l, s) = 1")
-    state = _swap_step(trace, m, state, v0)
+    state = _swap_step(trace, m, state, reflect)
 
     # rank is now the old s (> <v^2>); make c_1 itself primitive
     xi = _e8_twist_for_content_and_s(m, state, None)
@@ -462,7 +453,7 @@ def _reduce_e8_case(trace, m, state, v0, sq, sigma, f):
     state = _twist_step(trace, m, state, D, "drive s to 1")
     if _s_param(state) != 1:
         raise InvariantError("s = 1 expected after the isotropic twist")
-    state = _swap_step(trace, m, state, v0)
+    state = _swap_step(trace, m, state, reflect)
     if state.r != 1:
         raise InvariantError("E8 chain should end at rank one")
     return state

@@ -2,8 +2,8 @@
 
 The coefficient ring R for stack invariants is the ring of Laurent
 polynomials in (x, y) over Q: the class of a quot-scheme locus divided by
-e(GL(N)), a polynomial in xy, lands there.  The wall-crossing recursions
-use t := xy.
+e(GL(N)), a polynomial in xy, lands there.  The wall-crossing recursion
+uses t := xy.
 
 Conventions: for a smooth surface e(X) = sum (-1)^{p+q} h^{p,q} x^p y^q;
 the Hilbert-scheme generating series is the standard product
@@ -318,7 +318,7 @@ def hecke_cosets(r):
 
 
 # ---------------------------------------------------------------------------
-# Wall-crossing recursions (t := xy)
+# Wall-crossing recursion (t := xy)
 
 
 def wallcross_epoly(base, strata):
@@ -344,26 +344,4 @@ def wallcross_epoly(base, strata):
         for fpoly in factors:
             term = term * fpoly
         out = out + term
-    return out
-
-
-def elliptic_epoly_recursion(side, wall, terms):
-    """Elliptic-surface specialization of the wall-crossing recursion:
-
-        e = side + sum_k e_k1 * e_k2 * (xy)^{k*l},
-
-    where (l, d) is the wall datum and each term is (k, e_k1, e_k2).
-    Note the literal exponent sign differs from wallcross_epoly; the two
-    statements are reconciled by t -> 1/t on strata of this shape.
-    """
-    l, d = wall
-    l, d = int(l), int(d)
-    if l <= 0:
-        raise PreconditionError("malformed-datum", "fiber multiple l must be positive")
-    out = side
-    for k, e1, e2 in terms:
-        k = int(k)
-        if k <= 0:
-            raise PreconditionError("malformed-datum", "k must be positive")
-        out = out + e1 * e2 * LaurentPoly.xy(k * l)
     return out

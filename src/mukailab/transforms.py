@@ -22,7 +22,7 @@ from operator import mul
 from ._record import record
 from .errors import LatticeMismatchError, PreconditionError
 from .lattice import (GammaTriple, MukaiVector, NSClass, SurfaceModel,
-                      _cone_solver, _dual_num, _form, _gcd_many, _gram_mul,
+                      _cone_solver, _dual_num, _form, _gram_mul,
                       _reduce, _rref, integral_coordinates,
                       mukai_pair, rat, vector_of_gamma)
 
@@ -130,30 +130,22 @@ def _check_reflection_kernel(v0):
         raise PreconditionError("v0-rank", "rk v0 must be odd and positive")
 
 
-def enriques_reflection(v0, x):
+def enriques_reflection_map(model, v0=None, sign=1):
     """Reflection attached to a (-1)-class v0 on an Enriques surface:
 
         x -> -(x^dual + 2 v0^dual <x, v0>).
 
-    Preconditions: <v0^2> = -1 and rk v0 odd.  With the structure-sheaf
-    kernel v0 = (1, 0, 1/2) this swaps r + c + (s/2)omega into
-    s + c + (r/2)omega and is an involution; for kernels with c_1(v0) != 0
-    the inverse is the analogous formula built from the dual kernel class.
+    Preconditions: v0 on the model's lattice, <v0^2> = -1 and rk v0 odd.
+    The default kernel v0 = (1, 0, 1/2) swaps r + c + (s/2)omega into
+    s + c + (r/2)omega and is an involution; for c_1(v0) != 0 the inverse
+    is the map of the dual kernel class.
     """
-    _check_reflection_kernel(v0)
-    x._check(v0)
-    k = v0.den * v0.den
-    s = 2 * _form(x.lattice._mrows, x.num, v0.num)
-    return _reduce(MukaiVector, x.lattice,
-                   [-(k * a + s * b) for a, b in zip(_dual_num(x.num), _dual_num(v0.num))],
-                   x.den * k)
-
-
-def enriques_reflection_map(model, v0=None, sign=1):
     if model.kind != "enriques":
         raise PreconditionError("surface-kind", "reflection needs an Enriques model")
     if v0 is None:
         v0 = model.structure_sheaf_vector()
+    elif v0.lattice != model.ns:
+        raise LatticeMismatchError("the kernel v0 lives on a different lattice")
     _check_reflection_kernel(v0)
     n = model.ns.rank + 2
     # -(dual + 2 dual(v0) <., v0>), the pairing row being G_Mukai v0
@@ -182,7 +174,7 @@ def _check_isotropic_kernel(v1, m):
         raise PreconditionError("kernel-rank", "rk v1 must be positive")
     if _form(v1.lattice._mrows, v1.num, v1.num):
         raise PreconditionError("kernel-not-isotropic")
-    if _gcd_many(integral_coordinates(v1, m)) != 1:
+    if gcd(*integral_coordinates(v1, m)) != 1:
         raise PreconditionError("kernel-not-primitive")
 
 
@@ -274,11 +266,6 @@ def _perp_basis(H):
     return {i: _reduce(NSClass, lat, [p if j == i else -w[i] * p // w[piv] if j == piv else 0
                                       for j in range(n)], p)
             for i in range(n) if i != piv}
-
-
-def isotropic_fm(v, ctx):
-    """Apply the degree-preserving transform of the isotropic kernel."""
-    return isotropic_fm_map(ctx).apply(v)
 
 
 def isotropic_fm_map(ctx, sign=1):

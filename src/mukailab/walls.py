@@ -22,7 +22,7 @@ from operator import mul
 from ._record import record
 from .errors import PreconditionError
 from .lattice import (MukaiVector, NSClass, _common_denominator, _form,
-                      _gcd_many, _gram_mul, _new, chi_of, rat, twist)
+                      _gram_mul, _new, chi_of, rat, twist)
 
 # Largest number of lattice points scanned for effective decompositions,
 # and of walls emitted, by one walls_dim1 call.
@@ -177,7 +177,7 @@ def walls_dim1(g, H, box, m):
     for D in effective_decompositions(m, xi):
         dh = _form(rows, D.num, H.num)
         F = _gram_mul(rows, [xh * a - dh * b for a, b in zip(D.num, xi.num)])
-        content = _gcd_many(F)
+        content = gcd(*F)
         if content == 0:
             # D proportional to xi (or in the radical): excluded data
             continue

@@ -4,10 +4,11 @@ import random
 from fractions import Fraction as F
 from math import comb, gcd
 
-from mukailab import (Crossing, EllipticRelativeParams, GammaTriple, MukaiVector,
-                      PreconditionError, elliptic_relative_map, generic_model,
-                      isotropic_coords, k3_model, mukai_pair, mukai_square, rat,
-                      twist, vector_of_gamma, vector_stats)
+from mukailab import (Crossing, EllipticRelativeParams, GammaTriple, LaurentPoly,
+                      MukaiVector, NSClass, PreconditionError, dual,
+                      elliptic_relative_map, generic_model, isotropic_coords,
+                      k3_model, mukai_pair, mukai_square, rat, twist,
+                      vector_of_gamma, vector_stats)
 from mukailab.lattice import random_mukai_vector
 
 
@@ -59,6 +60,54 @@ def isotropic_fm_formula(v, ctx):
     return omega.scale(co.l) - ctx.w1.scale(co.a) + hpart.scale(co.d) + dpart
 
 
+def random_ns_class(lat, rng, span=6, denom=4):
+    """A random rational NS class, drawn as random_mukai_vector draws its c."""
+    coords = [F(rng.randint(-span, span), rng.randint(1, denom)) for _ in range(lat.rank)]
+    return NSClass(lat, tuple(coords))
+
+
+# --- defining formulas: oracles for the integer matrices and kernels --------
+
+
+def enriques_reflection(v0, x):
+    """The (-1)-reflection by v0 in Fractions: x -> -(x^dual + 2 v0^dual <x, v0>)."""
+    return -(dual(x) + dual(v0).scale(2 * mukai_pair(x, v0)))
+
+
+def mukai_mul(v, w):
+    """Cup product in the even cohomology ring (omega^2 = 0), in Fractions:
+    (r r', r c' + r' c, r t' + r' t + (c . c'))."""
+    return MukaiVector(v.r * w.r, w.c.scale(v.r) + v.c.scale(w.r),
+                       v.r * w.t + w.r * v.t + v.c.dot(w.c))
+
+
+def exp_class(D):
+    """exp(D) = (1, D, (D^2)/2); a homomorphism (NS tensor Q, +) -> units."""
+    return MukaiVector(1, D, D.self_intersection() / 2)
+
+
+def elliptic_epoly_recursion(side, wall, terms):
+    """Elliptic-surface specialization of the wall-crossing recursion:
+
+        e = side + sum_k e_k1 * e_k2 * (xy)^{k*l},
+
+    where (l, d) is the wall datum and each term is (k, e_k1, e_k2).
+    The literal exponent sign differs from wallcross_epoly; the two
+    statements are reconciled by t -> 1/t on strata of this shape.
+    """
+    l, d = wall
+    l, d = int(l), int(d)
+    if l <= 0:
+        raise PreconditionError("malformed-datum", "fiber multiple l must be positive")
+    out = side
+    for k, e1, e2 in terms:
+        k = int(k)
+        if k <= 0:
+            raise PreconditionError("malformed-datum", "k must be positive")
+        out = out + e1 * e2 * LaurentPoly.xy(k * l)
+    return out
+
+
 # --- the sampled isometry check: an oracle for the exact proof -------------
 
 
@@ -99,14 +148,17 @@ def sampled_isometry(cmap, samples=1000, rng=None):
     return True
 
 
-def random_enriques_vector(m, rng):
-    """Random primitive odd-rank integral vector with <v^2> >= -1."""
+def random_enriques_vector(m, rng, ranks=(1, 3, 5, 7), s_span=4, max_square=None):
+    """Random primitive odd-rank integral vector with <v^2> >= -1 (and at
+    most max_square).  ranks=(3, 5, 7), s_span=6, max_square=15 is the shape
+    of the benchmark's Enriques jobs."""
     while True:
-        r = rng.choice((1, 3, 5, 7))
+        r = rng.choice(ranks)
         c = m.cls([rng.randint(-2, 2) for _ in range(10)])
-        s = 2 * rng.randint(-4, 4) + 1
+        s = 2 * rng.randint(-s_span, s_span) + 1
         v = m.vector(r, c, F(-s, 2))
-        if mukai_square(v) < -1:
+        sq = mukai_square(v)
+        if sq < -1 or (max_square is not None and sq > max_square):
             continue
         if vector_stats(v, m).multiplicity != 1:
             continue
@@ -268,7 +320,6 @@ def product_hilb_series(hodge_xy, n_max):
     """[e(X^[0]), ..., e(X^[n_max])] by multiplying out Goettsche's product
     one binomial factor (1 - x^{p+m-1} y^{q+m-1} z^m)^{-c_pq} at a time,
     on {(i, j): coefficient} dicts."""
-    from mukailab.series import LaurentPoly
     hodge = hodge_xy.hodge_numbers() if isinstance(hodge_xy, LaurentPoly) \
         else LaurentPoly.constant(hodge_xy).hodge_numbers()
     series = [{(0, 0): 1}] + [{} for _ in range(n_max)]
@@ -399,7 +450,6 @@ def fraction_hecke_block_sum(terms, a, d, lat):
 
 def product_e_gl(N):
     """prod_{i<N} ((xy)^N - (xy)^i), one LaurentPoly binomial at a time."""
-    from mukailab.series import LaurentPoly
     out = LaurentPoly.one()
     for i in range(N):
         out = out * (LaurentPoly.xy(N) - LaurentPoly.xy(i))

@@ -639,11 +639,10 @@ class _Doubling:
 
 
 def test_broken_moves_exit_3_without_traceback(monkeypatch, capsys):
-    from mukailab import enriques_reflection, reductions
+    from mukailab import reductions
     # a swap that doubles its input breaks the Mukai square of either chain
     monkeypatch.setattr(reductions, "cor_ext_map", lambda m, k: _Doubling())
-    monkeypatch.setattr(reductions, "enriques_reflection",
-                        lambda v0, v: enriques_reflection(v0, v).scale(2))
+    monkeypatch.setattr(reductions, "enriques_reflection_map", lambda m, sign: _Doubling())
     want = "internal error: invariant failed: fm_swap changed the Mukai square or the multiplicity\n"
     for argv in (["reduce", "--kind", "rank-one", "--surface", json.dumps(K3U),
                   "--in", json.dumps({"l": 1, "r": 2, "c1": [0, 1], "a": -1})],

@@ -8,12 +8,12 @@ import pytest
 
 from mukailab import (GammaTriple, LatticeMismatchError, MukaiVector,
                       NSLattice, PreconditionError, SurfaceModel, Wall, chi_of, dual, elliptic_model, enriques_lattice,
-                      exp_class, gamma_of, hyperbolic_lattice, k3_model,
-                      mukai_mul, mukai_pair, mukai_square, twist,
+                      gamma_of, hyperbolic_lattice, k3_model,
+                      mukai_pair, mukai_square, twist,
                       vector_of_gamma, vector_stats)
-from mukailab.lattice import random_mukai_vector, random_ns_class
+from mukailab.lattice import random_mukai_vector
 
-from helpers import fraction_pair, solve_in_span
+from helpers import exp_class, fraction_pair, mukai_mul, random_ns_class, solve_in_span
 
 
 def pair_oracle(v, w):
@@ -94,6 +94,15 @@ def test_exp_class_homomorphism(k3_u, rng):
         D1 = random_ns_class(k3_u.ns, rng)
         D2 = random_ns_class(k3_u.ns, rng)
         assert mukai_mul(exp_class(D1), exp_class(D2)) == exp_class(D1 + D2)
+
+
+def test_twist_is_the_product_with_exp_class(k3_u, enriques, rng):
+    # the algebraic definition of twist, against its one integer kernel
+    for m in (k3_u, enriques):
+        for _ in range(200):
+            v = random_mukai_vector(m, rng)
+            D = random_ns_class(m.ns, rng)
+            assert twist(v, D) == mukai_mul(v, exp_class(D))
 
 
 def test_dual_involution_and_isometry(k3_u, rng):

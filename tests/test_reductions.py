@@ -9,11 +9,11 @@ from mukailab import (GitData, GitDims, PreconditionError,
                       filtration_stack_dim, git_weight, git_weight_factored,
                       hilb_series, lagrangian_fiber_dim, moduli_dim, mukai_square,
                       parabolic_euler, pss_bound, reduce_to_rank_one,
-                      trace_rank_sequence, vector_stats)
+                      trace_rank_sequence, twist, vector_stats)
 from mukailab.lattice import k3_model
 
-from helpers import (e8_twist_grow_s_by_search, euclid_sequence,
-                     random_enriques_vector, synthetic_git_data)
+from helpers import (e8_twist_grow_s_by_search, enriques_reflection,
+                     euclid_sequence, random_enriques_vector, synthetic_git_data)
 
 
 # --- rank-one reduction ------------------------------------------------------
@@ -129,6 +129,46 @@ def test_e8_twist_grow_s_matches_the_search(enriques, rng):
         sq = s + rng.choice((-1, 0, 1, rng.randint(0, 400)))
         assert reductions._e8_twist_grow_s(enriques, v, sq) \
             == e8_twist_grow_s_by_search(enriques, v, sq)
+
+
+def test_e8_content_twist_reaches_the_content(enriques, rng):
+    from mukailab import reductions
+    kinds = {"gamma = 0": 0, "gamma != l": 0}
+    for _ in range(300):
+        r = rng.choice((1, 3, 5, 7, 9, 15))
+        c8 = [rng.choice((2, 3, 4, 6)) * rng.randint(-3, 3) for _ in range(8)]
+        if rng.random() < 0.2:
+            c8 = [0] * 8
+        gamma = gcd(*c8)
+        if gamma and gamma == gcd(r, gamma):
+            continue            # the content is already gcd(r, gamma)
+        kinds["gamma = 0" if gamma == 0 else "gamma != l"] += 1
+        s = 2 * rng.randint(-20, 20) + 1
+        v = enriques.vector(r, [0, 0] + c8, F(-s, 2))
+        want_s = rng.choice((None, s + rng.randint(-3, 30)))
+        xi = reductions._e8_twist_for_content_and_s(enriques, v, want_s)
+        w = twist(v, xi)
+        assert xi.int_coords()[:2] == (0, 0)
+        assert w.c.content() == gcd(r, v.c.content())
+        assert want_s is None or -2 * w.t > want_s
+    assert min(kinds.values()) >= 20, kinds
+
+
+def test_enriques_swaps_match_the_reflection_formula(enriques, rng):
+    # the README and demo vectors, a huge E8 pairing, and the benchmark's shape
+    vs = [enriques.vector(3, [0] * 10, F(-1, 2)),
+          enriques.vector(5, [1, 1, 1] + [0] * 7, F(-3, 2)),
+          enriques.vector(3, [1, 10 ** 6, -10 ** 3] + [0] * 7, F(-1, 2))]
+    vs += [random_enriques_vector(enriques, rng, ranks=(3, 5, 7), s_span=6, max_square=15)
+           for _ in range(60)]
+    v0 = enriques.structure_sheaf_vector()
+    swaps = 0
+    for v in vs:
+        for step in enriques_reduce(v, enriques).trace.steps:
+            if step.move == "fm_swap":
+                swaps += 1
+                assert step.after == -enriques_reflection(v0, step.before)
+    assert swaps >= 100
 
 
 def test_enriques_reduce_with_a_huge_e8_pairing_is_fast(enriques):

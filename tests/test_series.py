@@ -2,12 +2,11 @@ from fractions import Fraction as F
 
 import pytest
 
-from mukailab import (PreconditionError, e_gl, elliptic_epoly_recursion,
-                      eta_inv12, euler_hilb, hecke_cosets, hilb_series,
-                      wallcross_epoly)
+from mukailab import (PreconditionError, e_gl, eta_inv12, euler_hilb,
+                      hecke_cosets, hilb_series, wallcross_epoly)
 from mukailab.series import LaurentPoly as LP
 
-from helpers import product_euler_hilb, product_hilb_series
+from helpers import elliptic_epoly_recursion, product_euler_hilb, product_hilb_series
 
 K3_HODGE = LP({(0, 0): 1, (2, 0): 1, (0, 2): 1, (1, 1): 20, (2, 2): 1})
 ENRIQUES_HODGE = LP({(0, 0): 1, (1, 1): 10, (2, 2): 1})

@@ -9,16 +9,16 @@ from mukailab import (EllipticRelativeParams, GammaTriple, IsotropicContext,
                       cor_ext_context, cor_ext_map, dual,
                       elliptic_jacobian_fm, elliptic_jacobian_inverse,
                       elliptic_jacobian_map, elliptic_relative_fm,
-                      elliptic_relative_map, enriques_reflection,
-                      enriques_reflection_map, fm_preconditions, identity_map,
-                      isotropic_coords, isotropic_fm, isotropic_fm_map,
+                      elliptic_relative_map, enriques_reflection_map,
+                      fm_preconditions, generic_model, identity_map,
+                      isotropic_coords, isotropic_fm_map,
                       isotropic_reconstruct, k3_model, mukai_pair,
                       mukai_square, twist_map, vector_of_gamma)
 from mukailab.lattice import random_mukai_vector, replace
 
 from helpers import (consistent_relative_map, domain_sampler, elliptic_k3,
-                     inconsistent_relative_map, isotropic_fm_formula,
-                     sampled_isometry)
+                     enriques_reflection, inconsistent_relative_map,
+                     isotropic_fm_formula, sampled_isometry)
 
 
 
@@ -51,12 +51,12 @@ def test_twist_group_law(k3_u, rng):
 
 
 def test_reflection_structure_sheaf_case(enriques, rng):
-    v0 = enriques.structure_sheaf_vector()
+    rmap = enriques_reflection_map(enriques)
     for _ in range(100):
         r, s = rng.randint(-9, 9), rng.randint(-9, 9)
         c = enriques.cls([rng.randint(-4, 4) for _ in range(10)])
         x = enriques.vector(r, c, F(s, 2))
-        y = enriques_reflection(v0, x)
+        y = rmap.apply(x)
         assert y == enriques.vector(s, c, F(r, 2))
 
 
@@ -65,19 +65,34 @@ def test_reflection_of_kernel_class(enriques):
     c = enriques.cls([0, 0, 1, 0, 0, 0, 0, 0, 0, 0])   # (c^2) = -2
     v0 = enriques.vector(1, c, F(-1, 2))
     assert mukai_pair(v0, v0) == -1
-    assert enriques_reflection(v0, v0) == dual(v0)
+    assert enriques_reflection_map(enriques, v0).apply(v0) == dual(v0)
 
 
 def test_reflection_involution(enriques, rng):
-    v0 = enriques.structure_sheaf_vector()
+    rmap = enriques_reflection_map(enriques)
     for _ in range(1000):
         x = random_mukai_vector(enriques, rng, span=5, denom=3)
-        assert enriques_reflection(v0, enriques_reflection(v0, x)) == x
+        assert rmap.apply(rmap.apply(x)) == x
 
 
 def test_reflection_rejects_wrong_kernel(enriques):
     with pytest.raises(PreconditionError):
-        enriques_reflection(enriques.unit(), enriques.omega())
+        enriques_reflection_map(enriques, enriques.unit())
+
+
+def test_reflection_rejects_a_kernel_on_another_lattice(enriques):
+    # U + A1^8 instead of U + E8(-1): v0 = (1, e1 + e2, -3/2) has <v0^2> = -1
+    # on its own lattice, but 1 on the Enriques lattice, where (e1 + e2)^2 = -2
+    gram = [[0] * 10 for _ in range(10)]
+    gram[0][1] = gram[1][0] = 1
+    for i in range(2, 10):
+        gram[i][i] = -2
+    other = generic_model(gram, ["u1", "u2"] + ["a%d" % i for i in range(8)],
+                          [1, 1] + [0] * 8)
+    v0 = other.vector(1, [0, 0, 1, 1] + [0] * 6, F(-3, 2))
+    assert mukai_pair(v0, v0) == -1
+    with pytest.raises(LatticeMismatchError):
+        enriques_reflection_map(enriques, v0)
 
 
 # --- isotropic decomposition and transform ---------------------------------
@@ -103,9 +118,10 @@ def test_isotropic_coords_roundtrip(abelian_u, rng):
 
 def test_isotropic_fm_kernel_to_omega(abelian_u):
     ctx = cor_ext_context(abelian_u, 2)
-    assert isotropic_fm(ctx.v1, ctx) == abelian_u.omega()
+    cmap = isotropic_fm_map(ctx)
+    assert cmap.apply(ctx.v1) == abelian_u.omega()
     # and the point class goes to w1, so omega is the w1-preimage
-    assert isotropic_fm(abelian_u.omega(), ctx) == ctx.w1
+    assert cmap.apply(abelian_u.omega()) == ctx.w1
 
 
 def test_cor_ext_verbatim(abelian_u, rng):
@@ -174,6 +190,7 @@ def test_isotropic_fm_square_example(abelian_u):
 def test_isotropic_fm_preserves_twisted_degree_zero(abelian_u, rng):
     # the transform carries twisted-degree-zero classes to twisted-degree-zero classes
     ctx = cor_ext_context(abelian_u, 2)
+    cmap = isotropic_fm_map(ctx)
     H = ctx.H
     for _ in range(300):
         v = random_mukai_vector(abelian_u, rng)
@@ -181,7 +198,7 @@ def test_isotropic_fm_preserves_twisted_degree_zero(abelian_u, rng):
         c = v.c - H.scale(v.c.dot(H) / H.self_intersection())
         v = type(v)(v.r, c, v.t)
         assert v.c.dot(H) == 0
-        w = isotropic_fm(v, ctx)
+        w = cmap.apply(v)
         assert ctx.w1.r * w.c.dot(ctx.H_hat) - w.r * ctx.w1.c.dot(ctx.H_hat) == 0
 
 
@@ -304,6 +321,17 @@ def test_isotropic_matrix_matches_formula(k3_u, abelian_u, rng):
             for _ in range(50):
                 v = random_mukai_vector(ctx.source, rng)
                 assert cmap.apply(v) == isotropic_fm_formula(v, ctx).scale(sign)
+
+
+def test_reflection_matrix_matches_formula(enriques, rng):
+    kernels = [enriques.structure_sheaf_vector(),
+               enriques.vector(1, enriques.cls([0, 0, 1] + [0] * 7), F(-1, 2))]
+    for v0 in kernels:
+        for sign in (1, -1):
+            rmap = enriques_reflection_map(enriques, v0, sign=sign)
+            for _ in range(50):
+                x = random_mukai_vector(enriques, rng)
+                assert rmap.apply(x) == enriques_reflection(v0, x).scale(sign)
 
 
 def test_elliptic_matrices_match_formulas(rng):
