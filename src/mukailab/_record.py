@@ -9,8 +9,11 @@ and refused assignment and deletion.  A frozen ``__init__`` stores each
 field through its slot descriptor, which bypasses the refusing
 ``__setattr__``.  A class with ``__post_init__`` also gets a ``__dict__``
 slot, for the private values it caches (``NSLattice._rows``,
-``SurfaceModel._cone``).  ``__getstate__`` and ``__setstate__`` carry the
-fields (and that dict) through ``pickle`` and ``copy``.  Importing
+``SurfaceModel._cone``, and the reduction chains' per-model values, such
+as the rank-one target model and the Enriques reflection map, which
+``mukailab.reductions`` builds on first use).  ``__getstate__`` and ``__setstate__`` carry the fields
+(and that dict) through ``pickle`` and ``copy``; ``replace`` goes through
+``__init__`` and starts with an empty dict.  Importing
 ``dataclasses`` loads ``inspect``, ``ast`` and ``dis``, about 1 MB of
 resident memory for every process that imports mukailab.
 """

@@ -29,6 +29,10 @@ from .lattice import mukai_pair
 SUBCOMMANDS = ("pair", "transform", "walls", "chamberpath", "wallsolve",
                "epoly", "partition", "reduce", "dims", "gitweight")
 
+# Largest --samples a job accepts: a selftest runs about 30 us per sample,
+# so 10^4 samples take a fraction of a second.
+MAX_SAMPLES = 10 ** 4
+
 
 @record(frozen=False)
 class JobSpec:
@@ -51,6 +55,12 @@ def run(job, out=None):
             raise ParseError("unknown subcommand: %r" % job.subcommand)
         if job.extra is not None and not isinstance(job.extra, dict):
             raise ParseError("extra must be a JSON object")
+        samples = parse_int(job.samples, "samples")
+        if samples < 0:
+            raise ParseError("samples must be >= 0, got %d" % samples)
+        if samples > MAX_SAMPLES:
+            raise PreconditionError("samples-too-large",
+                                    "%d samples exceed %d" % (samples, MAX_SAMPLES))
         if job.selftest:
             lines = _selftest(job)
         else:

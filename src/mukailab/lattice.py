@@ -267,7 +267,7 @@ class NSClass(_Exact):
     __slots__ = ("_coords",)
 
     def __init__(self, lattice, coords):
-        num, den = _common_denominator(tuple(rat(x) for x in coords))
+        num, den = _common_denominator([x if type(x) is int else rat(x) for x in coords])
         if len(num) != lattice.rank:
             raise PreconditionError("coords-length", "expected rank %d" % lattice.rank)
         _set(self, "lattice", lattice)
@@ -508,7 +508,8 @@ class _Triple(_Exact):
     _names = ()
 
     def __init__(self, first, c, last):
-        first, last = rat(first), rat(last)
+        first = first if type(first) is int else rat(first)
+        last = last if type(last) is int else rat(last)
         den = lcm(first.denominator, c.den, last.denominator)
         _set(self, "lattice", c.lattice)
         _set(self, "num", (first.numerator * den // first.denominator,

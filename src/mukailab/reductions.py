@@ -33,7 +33,7 @@ from .transforms import cor_ext_map, enriques_reflection_map
 @record
 class MoveStep:
     move: str        # 'twist' | 'fm_swap' | 'deform'
-    params: tuple    # sorted (name, value) pairs, JSON-friendly
+    params: tuple    # (name, value) pairs sorted by name, JSON-friendly
     before: object
     after: object
 
@@ -49,7 +49,9 @@ class MoveTrace:
         self.invariant_log = self.invariant_log or []
 
     def record(self, move, params, before, after, invariants):
-        self.steps.append(MoveStep(move, tuple(sorted(params.items())), before, after))
+        """Append a step; ``params`` is a tuple of (name, value) pairs
+        already sorted by name."""
+        self.steps.append(MoveStep(move, params, before, after))
         self.invariant_log.append(invariants)
         self.final = after
 
@@ -71,6 +73,16 @@ def _step(trace, move, params, v, w, m):
         raise InvariantError("%s changed the Mukai square or the multiplicity" % move)
     trace.record(move, params, v, w, invariants)
     return w
+
+
+def _per_model(m, slot, build):
+    """build(m), kept in the model record's ``__dict__`` from the first use
+    on: a value that depends only on the model is built once per model."""
+    try:
+        return m.__dict__[slot]
+    except KeyError:
+        value = m.__dict__[slot] = build(m)
+        return value
 
 
 # ---------------------------------------------------------------------------
@@ -104,6 +116,16 @@ def _ceil_div(a, b):
     return -((-a) // b)
 
 
+def _rank_one_target(m):
+    """(target, e, f, swap): the rank-2 product model of m's kind, its
+    basis classes, and the cor_ext swap.  The swap is one matrix for every
+    k >= 1, so the map of k = 1 serves every swap of every chain on m (no
+    step reads its params)."""
+    lat = hyperbolic_lattice()
+    target = SurfaceModel(m.kind, lat, m.chi_O, lat.cls((1, 1)))
+    return target, lat.basis_class(0), lat.basis_class(1), cor_ext_map(target, 1)
+
+
 def reduce_to_rank_one(l, r, c1, a, m):
     """Reduce the primitive class l*(r + c1) + a*omega to rank one.
 
@@ -127,30 +149,26 @@ def reduce_to_rank_one(l, r, c1, a, m):
         raise PreconditionError("odd-self-intersection", "(c1^2) must be an even integer")
     c1sq = c1sq.numerator
 
-    lat = hyperbolic_lattice()
-    target = SurfaceModel(m.kind, lat, m.chi_O, lat.cls((1, 1)))
-    e_cls, f_cls = lat.basis_class(0), lat.basis_class(1)
-
-    def emkf(k):
-        return e_cls - f_cls.scale(k)
-
     v0 = m.vector(l * r, c1.scale(l), a)
     trace = _start(v0, m)
     if l == 1 and r == 1:
         return trace
+    target, e_cls, f_cls, swap = _per_model(m, "_rank_one", _rank_one_target)
+
+    def emkf(k):
+        return e_cls - f_cls.scale(k)
 
     # deform: b = -a + l*lambda, k = -(c1^2)/2 + r*lambda, minimal lambda
     # with k >= 1 (e + k f ample) and b >= 1
     lam = max(_ceil_div(1 + c1sq // 2, r), _ceil_div(1 + a, l))
     b = -a + l * lam
     k = -(c1sq // 2) + r * lam
-    v1 = _step(trace, "deform", {"lambda": lam, "b": b, "k": k}, v0,
+    # the one swap map stands for cor_ext_map(target, k), which needs k >= 1
+    if k < 1:
+        raise InvariantError("k must be >= 1 for the cor_ext swap")
+    v1 = _step(trace, "deform", (("b", b), ("k", k), ("lambda", lam)), v0,
                target.vector(l * r, emkf(k).scale(l), -b), target)
-
-    # the cor_ext transform is one matrix for every k >= 1 (k' and k'' are
-    # >= 1 by the choice of lambda'), so one map serves all three swaps
-    swap = cor_ext_map(target, k)
-    v2 = _step(trace, "fm_swap", {"kind": "rank2-isotropic", "k": k}, v1,
+    v2 = _step(trace, "fm_swap", (("k", k), ("kind", "rank2-isotropic")), v1,
                swap.apply(v1), target)
 
     # deform: b' = l*r + lambda', k' = l^2 k + b lambda'; lambda' minimal
@@ -163,14 +181,14 @@ def reduce_to_rank_one(l, r, c1, a, m):
     k3 = l * r * (1 - b) + l * l * k + lam2
     if min(k2, k3) < 1:
         raise InvariantError("k' and k'' must be >= 1 for the cor_ext swap")
-    v3 = _step(trace, "deform", {"lambda'": lam2, "b'": b2, "k'": k2}, v2,
+    v3 = _step(trace, "deform", (("b'", b2), ("k'", k2), ("lambda'", lam2)), v2,
                target.vector(b, emkf(k2), -b2), target)
-    v4 = _step(trace, "fm_swap", {"kind": "rank2-isotropic", "k": k2}, v3,
+    v4 = _step(trace, "fm_swap", (("k", k2), ("kind", "rank2-isotropic")), v3,
                swap.apply(v3), target)
 
     # deform to omega-coefficient -1
-    v5 = _step(trace, "deform", {"k''": k3}, v4, target.vector(b2, -emkf(k3), -1), target)
-    v6 = _step(trace, "fm_swap", {"kind": "rank2-isotropic", "k": k3}, v5,
+    v5 = _step(trace, "deform", (("k''", k3),), v4, target.vector(b2, -emkf(k3), -1), target)
+    v6 = _step(trace, "fm_swap", (("k", k3), ("kind", "rank2-isotropic")), v5,
                swap.apply(v5), target)
 
     if v6.r != 1:
@@ -276,16 +294,23 @@ def _s_param(v):
 
 
 def _twist_step(trace, m, v, D, note):
-    return _step(trace, "twist", {"D": tuple(str(x) for x in D.coords), "note": note},
+    return _step(trace, "twist", (("D", tuple(str(x) for x in D.coords)), ("note", note)),
                  v, twist(v, D), m)
 
 
-def _swap_step(trace, m, v, reflect):
+def _enriques_reflection(m):
+    """The (-1)-reflection by v(O_X), negated: one matrix for every swap."""
+    return enriques_reflection_map(m, sign=-1)
+
+
+def _swap_step(trace, m, v):
     # reflection precondition of the Hodge-polynomial swap: (c^2) < 0
     if v.c.self_intersection() >= 0:
         raise PreconditionError("reflection-precondition",
                                 "(c1^2) < 0 required for the r <-> s swap")
-    return _step(trace, "fm_swap", {"kind": "minus-one-reflection"}, v, reflect.apply(v), m)
+    reflect = _per_model(m, "_reflect", _enriques_reflection)
+    return _step(trace, "fm_swap", (("kind", "minus-one-reflection"),), v,
+                 reflect.apply(v), m)
 
 
 def _e8_twist_for_content_and_s(m, v, want_s_above):
@@ -367,8 +392,6 @@ def enriques_reduce(v, m):
 
     sigma = m.ns.named("sigma")
     f = m.ns.named("f")
-    # the (-1)-reflection by v(O_X), negated: one matrix for every swap
-    reflect = enriques_reflection_map(m, sign=-1)
     # d1 = (c_1, f) is the sigma-coefficient of c_1, d2 = (c_1, sigma) the
     # f-coefficient; each is first shifted by r into (-r/2, r/2) (r odd)
     halves = (("reduce |d1| mod r", f, sigma), ("reduce |d2| mod r", sigma, f))
@@ -387,16 +410,16 @@ def enriques_reduce(v, m):
                 state = _twist_step(trace, m, state, twist_cls.scale(k), note)
                 d = state.c.dot(pair_cls)
             if d != 0:
-                state = _reduce_mixed_round(trace, m, state, reflect, sq, d, pair_cls)
+                state = _reduce_mixed_round(trace, m, state, sq, d, pair_cls)
                 break
         else:
             # c_1 lies in the E8(-1) part: the terminating chain
-            state = _reduce_e8_case(trace, m, state, reflect, sq, sigma, f)
+            state = _reduce_e8_case(trace, m, state, sq, sigma, f)
 
     return EnriquesReduction(trace, n, _enriques_hilb(n))
 
 
-def _reduce_mixed_round(trace, m, state, reflect, sq, d, twist_cls):
+def _reduce_mixed_round(trace, m, state, sq, d, twist_cls):
     """One rank-lowering round when c_1 has a nonzero sigma/f coefficient d.
 
     ``twist_cls`` is the isotropic class used for the post-swap twist (f
@@ -409,18 +432,18 @@ def _reduce_mixed_round(trace, m, state, reflect, sq, d, twist_cls):
     eta = _e8_twist_grow_s(m, state, sq)
     if eta is not None:
         state = _twist_step(trace, m, state, eta, "grow s beyond <v^2>")
-    state = _swap_step(trace, m, state, reflect)
+    state = _swap_step(trace, m, state)
     # choose k with 0 < r + 2 d k < 2|d|
     rho = r % (2 * abs(d))
     k = (rho - r) // (2 * d)
     state = _twist_step(trace, m, state, twist_cls.scale(k), "lower the rank")
-    state = _swap_step(trace, m, state, reflect)
+    state = _swap_step(trace, m, state)
     if state.r.numerator >= r:
         raise InvariantError("mixed round did not lower the rank")
     return state
 
 
-def _reduce_e8_case(trace, m, state, reflect, sq, sigma, f):
+def _reduce_e8_case(trace, m, state, sq, sigma, f):
     """Terminating chain when c_1 lies in E8(-1)."""
     # make c_1 / gcd(r, c_1) primitive while pushing s above <v^2>
     xi = _e8_twist_for_content_and_s(m, state, sq)
@@ -431,7 +454,7 @@ def _reduce_e8_case(trace, m, state, reflect, sq, sigma, f):
     l = gcd(r, state.c.content())
     if gcd(l, s) != 1:
         raise InvariantError("primitivity must force gcd(l, s) = 1")
-    state = _swap_step(trace, m, state, reflect)
+    state = _swap_step(trace, m, state)
 
     # rank is now the old s (> <v^2>); make c_1 itself primitive
     xi = _e8_twist_for_content_and_s(m, state, None)
@@ -453,7 +476,7 @@ def _reduce_e8_case(trace, m, state, reflect, sq, sigma, f):
     state = _twist_step(trace, m, state, D, "drive s to 1")
     if _s_param(state) != 1:
         raise InvariantError("s = 1 expected after the isotropic twist")
-    state = _swap_step(trace, m, state, reflect)
+    state = _swap_step(trace, m, state)
     if state.r != 1:
         raise InvariantError("E8 chain should end at rank one")
     return state
@@ -509,7 +532,7 @@ def elliptic_gcd_reduce(r, d):
         k = (r0 - d0) // r0          # 0 < d0 + k r0 <= r0
         if k:
             new = (r0, d0 + k * r0)
-            trace.record("twist", {"k": k}, state, new, (None, 1))
+            trace.record("twist", (("k", k),), state, new, (None, 1))
             return new
         return state
 
@@ -523,7 +546,7 @@ def elliptic_gcd_reduce(r, d):
         if r0 == d0:
             raise InvariantError("coprimality rules out r == d > 1")
         new = (d0, -r0)
-        trace.record("fm_swap", {"kind": "relative-jacobian"}, state, new, (None, 1))
+        trace.record("fm_swap", (("kind", "relative-jacobian"),), state, new, (None, 1))
         state = new
     return trace
 

@@ -5,11 +5,13 @@ from fractions import Fraction as F
 from math import comb, gcd
 
 from mukailab import (Crossing, EllipticRelativeParams, GammaTriple, LaurentPoly,
-                      MukaiVector, NSClass, PreconditionError, dual,
-                      elliptic_relative_map, generic_model, isotropic_coords,
-                      k3_model, mukai_pair, mukai_square, rat, twist,
-                      vector_of_gamma, vector_stats)
-from mukailab.lattice import random_mukai_vector
+                      MoveTrace, MukaiVector, NSClass, PreconditionError,
+                      SurfaceModel, cor_ext_map, dual, elliptic_relative_map,
+                      enriques_reduce, generic_model, hyperbolic_lattice,
+                      isotropic_coords, k3_model, mukai_pair, mukai_square, rat,
+                      twist, vector_of_gamma, vector_stats)
+from mukailab._record import replace
+from mukailab.lattice import integral_coordinates, random_mukai_vector
 
 
 def k3_with_perp(n):
@@ -180,6 +182,65 @@ def e8_twist_grow_s_by_search(m, v, sq):
         if s_of(twist(v, eta)) > sq:
             return eta
         M += 1
+
+
+def rank_one_per_call(l, r, c1, a, m):
+    """reduce_to_rank_one as it was built before its per-model values: a
+    fresh hyperbolic_lattice() target on every call, cor_ext_map(target, k)
+    for each swap, and each step's params sorted from a dict.  Assumes the
+    preconditions hold."""
+    trace = MoveTrace()
+
+    def step(move, params, v, w, model):
+        trace.record(move, tuple(sorted(params.items())), v, w,
+                     (mukai_square(w), gcd(*integral_coordinates(w, model))))
+        return w
+
+    v0 = m.vector(l * r, c1.scale(l), a)
+    trace.invariant_log.append((mukai_square(v0), gcd(*integral_coordinates(v0, m))))
+    trace.final = v0
+    if l == 1 and r == 1:
+        return trace
+    lat = hyperbolic_lattice()
+    target = SurfaceModel(m.kind, lat, m.chi_O, lat.cls((1, 1)))
+    emkf = lambda k: lat.cls((1, -k))
+    half_c1sq = c1.self_intersection().numerator // 2
+    lam = max(-((-1 - half_c1sq) // r), -((-1 - a) // l))
+    b, k = -a + l * lam, -half_c1sq + r * lam
+    v = step("deform", {"lambda": lam, "b": b, "k": k}, v0,
+             target.vector(l * r, emkf(k).scale(l), -b), target)
+    v = step("fm_swap", {"kind": "rank2-isotropic", "k": k}, v,
+             cor_ext_map(target, k).apply(v), target)
+    lam2 = max(-((l * l * k - 1) // b), 1 - l * r, 1 + l * r * (b - 1) - l * l * k, 0)
+    b2, k2 = l * r + lam2, l * l * k + b * lam2
+    k3 = l * r * (1 - b) + l * l * k + lam2
+    v = step("deform", {"lambda'": lam2, "b'": b2, "k'": k2}, v,
+             target.vector(b, emkf(k2), -b2), target)
+    v = step("fm_swap", {"kind": "rank2-isotropic", "k": k2}, v,
+             cor_ext_map(target, k2).apply(v), target)
+    v = step("deform", {"k''": k3}, v, target.vector(b2, -emkf(k3), -1), target)
+    step("fm_swap", {"kind": "rank2-isotropic", "k": k3}, v,
+         cor_ext_map(target, k3).apply(v), target)
+    return trace
+
+
+def enriques_per_call(v, m):
+    """enriques_reduce on a copy of m made through _record.replace, whose
+    empty __dict__ makes the call build its reflection map afresh, as every
+    call did before the map was kept on the model."""
+    return enriques_reduce(v, replace(m))
+
+
+def rank_one_inputs(rng, m):
+    """(l, r, c1, a) of the benchmark's rank-one jobs: l in 1..5, r in 2..7,
+    c1 and a nonzero with gcd(r, content(c1)) = gcd(l, a) = 1."""
+    l, r = rng.randint(1, 5), rng.randint(2, 7)
+    while True:
+        c = (rng.randint(-6, 6), rng.randint(-6, 6))
+        a = rng.randint(-9, 9)
+        if any(c) and gcd(r, *c) == 1 and a and gcd(l, a) == 1:
+            return l, r, m.cls(c), a
+
 
 def euclid_sequence(r, d):
     """Remainder sequence with remainders normalized into (0, m]."""

@@ -105,6 +105,35 @@ def test_selftests(name):
     assert "ok" in out
 
 
+def test_default_selftests_run_200_samples(capsys):
+    for name in ("pair", "transform"):
+        assert main([name, "--selftest"]) == 0
+        assert capsys.readouterr().out.endswith("properties %s: ok (200 samples)\n" % name)
+
+
+@pytest.mark.parametrize("samples", ["-5", "-1"])
+def test_negative_samples_are_parse_errors(capsys, samples):
+    assert main(["pair", "--selftest", "--samples=" + samples]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "parse error: samples must be >= 0, got %s\n" % samples
+    assert "Traceback" not in captured.err
+
+
+def test_too_many_samples_are_refused_at_once(capsys):
+    from mukailab.cli import MAX_SAMPLES
+    assert main(["pair", "--selftest", "--samples", str(MAX_SAMPLES)]) == 0
+    assert capsys.readouterr().out.endswith("ok (%d samples)\n" % MAX_SAMPLES)
+    for samples in (MAX_SAMPLES + 1, 10 ** 8):
+        start = time.perf_counter()
+        assert main(["transform", "--selftest", "--samples", str(samples)]) == 1
+        assert time.perf_counter() - start < 0.2
+        assert capsys.readouterr().out.startswith("domain error [samples-too-large]")
+    code, out = run_job(JobSpec("pair", selftest=True, samples=10 ** 8))
+    assert code == 1 and out.startswith("domain error [samples-too-large]")
+    code, out = run_job(JobSpec("pair", selftest=True, samples=True))
+    assert code == 2 and out.startswith("parse error: ")
+
+
 def test_transform_composite_list():
     job = JobSpec("transform", surface=K3U,
                   inputs={"map": [{"kind": "twist", "params": {"D": [1, 2]}},

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from mukailab import (GammaTriple, LatticeMismatchError, MukaiVector,
+from mukailab import (GammaTriple, LatticeMismatchError, MukaiVector, NSClass,
                       NSLattice, PreconditionError, SurfaceModel, Wall, chi_of, dual, elliptic_model, enriques_lattice,
                       gamma_of, hyperbolic_lattice, k3_model,
                       mukai_pair, mukai_square, twist,
@@ -247,6 +247,30 @@ def test_vector_integer_canonical_form(k3_u, enriques):
     o = enriques.structure_sheaf_vector()
     assert (o.num[0], o.num[-1], o.den) == (2, 1, 2) and not any(o.num[1:-1])
     assert repr(v) == "MukaiVector(r=%r, c=%r, t=%r)" % (v.r, v.c, v.t)
+
+
+@pytest.mark.parametrize("bad", [True, 1.5])
+def test_constructors_refuse_bools_and_floats(k3_u, bad):
+    lat, zero = k3_u.ns, k3_u.ns.zero()
+    for build in (lambda: NSClass(lat, (bad, 0)), lambda: lat.cls((0, bad)),
+                  lambda: k3_u.vector(bad, (0, 0), 0), lambda: k3_u.vector(1, (bad, 0), 0),
+                  lambda: k3_u.vector(1, (0, 0), bad), lambda: MukaiVector(bad, zero, 0),
+                  lambda: MukaiVector(0, zero, bad), lambda: GammaTriple(bad, zero, 0)):
+        with pytest.raises(PreconditionError, match="not-a-rational"):
+            build()
+
+
+def test_int_fraction_and_string_coordinates_agree(k3_u):
+    lat = k3_u.ns
+    for values in ((3, F(3), "3"), (-4, F(-8, 2), "-4"), (0, F(0), "0/5"),
+                   (10 ** 30, F(10 ** 30), str(10 ** 30))):
+        built = [(lat.cls((x, 1)), NSClass(lat, (1, x)), k3_u.vector(x, (x, 2), x),
+                  MukaiVector(1, lat.cls((0, x)), x), GammaTriple(x, lat.zero(), 1))
+                 for x in values]
+        for objects in zip(*built):
+            first = objects[0]
+            assert all(o == first and o.num == first.num and o.den == first.den
+                       and all(type(n) is int for n in o.num) for o in objects)
 
 
 def test_vector_immutable_and_pickles(k3_u):

@@ -1,4 +1,7 @@
+import copy
+import pickle
 import time
+from collections import Counter
 from fractions import Fraction as F
 from math import gcd
 
@@ -10,10 +13,12 @@ from mukailab import (GitData, GitDims, PreconditionError,
                       hilb_series, lagrangian_fiber_dim, moduli_dim, mukai_square,
                       parabolic_euler, pss_bound, reduce_to_rank_one,
                       trace_rank_sequence, twist, vector_stats)
-from mukailab.lattice import k3_model
+from mukailab._record import replace
+from mukailab.lattice import abelian_model, enriques_model, k3_model
 
-from helpers import (e8_twist_grow_s_by_search, enriques_reflection,
-                     euclid_sequence, random_enriques_vector, synthetic_git_data)
+from helpers import (e8_twist_grow_s_by_search, enriques_per_call, enriques_reflection,
+                     euclid_sequence, random_enriques_vector, rank_one_inputs,
+                     rank_one_per_call, synthetic_git_data)
 
 
 # --- rank-one reduction ------------------------------------------------------
@@ -218,13 +223,13 @@ def test_move_step_checks_the_square_and_the_multiplicity(k3_u):
     trace = reductions._start(v, k3_u)
     assert trace.invariant_log == [(8, 1)] and trace.final == v
     w = k3_u.vector(2, (1, 2), -1)                     # <w^2> = 8, m(w) = 1
-    assert reductions._step(trace, "deform", {"x": 1}, v, w, k3_u) == w
+    assert reductions._step(trace, "deform", (("x", 1),), v, w, k3_u) == w
     assert trace.invariant_log == [(8, 1), (8, 1)] and trace.final == w
     assert trace.steps[-1] == reductions.MoveStep("deform", (("x", 1),), v, w)
     for bad in (k3_u.vector(2, (0, 0), -2),            # <.^2> = 8, m = 2
                 k3_u.vector(1, (0, 0), -3)):           # <.^2> = 6, m = 1
         with pytest.raises(InvariantError, match="deform changed the Mukai square"):
-            reductions._step(trace, "deform", {}, w, bad, k3_u)
+            reductions._step(trace, "deform", (), w, bad, k3_u)
     assert len(trace.steps) == 1
 
 
@@ -243,6 +248,90 @@ def test_broken_moves_raise_invariant_errors(abelian_u, enriques, monkeypatch):
     monkeypatch.setattr(reductions, "twist", lambda v, D: twist(v, D) + point)
     with pytest.raises(InvariantError, match="twist changed"):
         enriques_reduce(enriques.vector(3, [0] * 10, F(-1, 2)), enriques)
+
+# --- per-model values of the chains ---------------------------------------------
+
+
+def _whole(trace):
+    return trace.steps, trace.invariant_log, trace.final
+
+
+def _benchmark_enriques_vector(m, rng):
+    return random_enriques_vector(m, rng, ranks=(3, 5, 7), s_span=6, max_square=15)
+
+
+def test_chains_match_the_per_call_construction(rng):
+    ab, k3, enr = abelian_model(), k3_model(), enriques_model()
+    for _ in range(40):
+        for m in (ab, k3):
+            args = rank_one_inputs(rng, m)
+            assert _whole(reduce_to_rank_one(*args, m)) == _whole(rank_one_per_call(*args, m))
+    for _ in range(40):
+        v = _benchmark_enriques_vector(enr, rng)
+        got, want = enriques_reduce(v, enr), enriques_per_call(v, enr)
+        assert (_whole(got.trace), got.n, got.hodge) == (_whole(want.trace), want.n, want.hodge)
+
+
+def test_per_model_values_are_built_once_per_model(monkeypatch, rng):
+    from mukailab import reductions
+    calls = Counter()
+
+    def count(name):
+        real = getattr(reductions, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(reductions, name, counted)
+
+    for name in ("hyperbolic_lattice", "SurfaceModel", "cor_ext_map", "enriques_reflection_map"):
+        count(name)
+    rank_one_models = (abelian_model(), k3_model(), abelian_model())
+    enriques_models = (enriques_model(), enriques_model())
+    # chains that make no move build nothing
+    trivial_abelian, trivial_enriques = abelian_model(), enriques_model()
+    for _ in range(20):
+        for m in rank_one_models:
+            reduce_to_rank_one(*rank_one_inputs(rng, m), m)
+        for m in enriques_models:
+            enriques_reduce(_benchmark_enriques_vector(m, rng), m)
+        reduce_to_rank_one(1, 1, trivial_abelian.cls((0, 1)), 5, trivial_abelian)
+        enriques_reduce(trivial_enriques.vector(1, [0] * 10, F(-3, 2)), trivial_enriques)
+    assert calls == {"hyperbolic_lattice": 3, "SurfaceModel": 3, "cor_ext_map": 3,
+                     "enriques_reflection_map": 2}
+    assert not vars(trivial_abelian) and not vars(trivial_enriques)
+
+
+def test_models_with_filled_slots_round_trip(rng):
+    ab, enr = abelian_model(), enriques_model()
+    args, v = rank_one_inputs(rng, ab), _benchmark_enriques_vector(enr, rng)
+    rank_one, enriques_red = reduce_to_rank_one(*args, ab), enriques_reduce(v, enr)
+    assert set(vars(ab)) == {"_rank_one"} and set(vars(enr)) == {"_reflect"}
+    for make in (copy.copy, copy.deepcopy, lambda m: pickle.loads(pickle.dumps(m)), replace):
+        ab2, enr2 = make(ab), make(enr)
+        assert ab2 == ab and hash(ab2) == hash(ab) and enr2 == enr
+        assert _whole(reduce_to_rank_one(*args, ab2)) == _whole(rank_one)
+        got = enriques_reduce(v, enr2)
+        assert (_whole(got.trace), got.n, got.hodge) == (
+            _whole(enriques_red.trace), enriques_red.n, enriques_red.hodge)
+
+
+def test_every_move_kind_has_its_params_sorted_by_name(rng):
+    ab, k3, enr = abelian_model(), k3_model(), enriques_model()
+    traces = [reduce_to_rank_one(*rank_one_inputs(rng, m), m) for m in (ab, k3) * 10]
+    traces += [enriques_reduce(_benchmark_enriques_vector(enr, rng), enr).trace
+               for _ in range(20)]
+    traces += [elliptic_gcd_reduce(r, d) for r, d in ((1, 5), (5, 2), (13, -8), (200, 7))]
+    shapes = set()
+    for trace in traces:
+        for step in trace.steps:
+            names = tuple(name for name, _ in step.params)
+            assert names == tuple(sorted(names)) and type(step.params) is tuple
+            shapes.add((step.move, names))
+    assert shapes == {("deform", ("b", "k", "lambda")), ("deform", ("b'", "k'", "lambda'")),
+                      ("deform", ("k''",)), ("fm_swap", ("k", "kind")), ("fm_swap", ("kind",)),
+                      ("twist", ("D", "note")), ("twist", ("k",))}
+
 
 # --- elliptic Euclid reduction -------------------------------------------------
 
