@@ -1,5 +1,7 @@
 """Shared builders and independent oracles used across the test modules."""
 
+import contextlib
+import io
 import random
 from fractions import Fraction as F
 from math import comb, gcd
@@ -11,7 +13,19 @@ from mukailab import (Crossing, EllipticRelativeParams, GammaTriple, LaurentPoly
                       isotropic_coords, k3_model, mukai_pair, mukai_square, rat,
                       twist, vector_of_gamma, vector_stats)
 from mukailab._record import replace
+from mukailab.cli import main
 from mukailab.lattice import integral_coordinates, random_mukai_vector
+
+
+def run_cli(argv):
+    """(exit code, stdout, stderr) of cli.main(argv), an argparse exit included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
 
 
 def k3_with_perp(n):
