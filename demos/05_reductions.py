@@ -48,8 +48,7 @@ print("properly-semistable bound: <v^2> =", sq, "strict:", strict)
 # --- Parabolic Euler characteristic / GIT weight ---------------------------------
 print("\nparabolic chi, single weight 1 - 1/n:",
       M.parabolic_euler(3, [2], [F(3, 4)], 5))
-# global block: dimV = h(m), dim a(VxW) = a1*n + h(m), dim a_i(V) = h_i(m)
+# one subspace V' of the global block; semistable means weight >= 0 for every V'
 data = M.GitData(h_m=10, h_i_m=(2,), eps_i=(F(1, 4),), a1=2, n=5)
 dims = M.GitDims(10, 4, 20, 11, (2,), (1,))
-print("GIT weight:", M.git_weight(dims, data),
-      "= factored form:", M.git_weight_factored(dims, data))
+print("GIT weight:", M.git_weight(dims, data))

@@ -20,7 +20,7 @@ from .transforms import (CohMap, EllipticRelativeParams, FMPreconditions,
                          elliptic_jacobian_map, elliptic_relative_fm,
                          elliptic_relative_map, enriques_reflection_map,
                          fm_preconditions, identity_map, isotropic_coords,
-                         isotropic_fm_map, isotropic_reconstruct, twist_map)
+                         isotropic_fm_map, twist_map)
 from .walls import (Chamber, Crossing, OnWall, TwistData, Wall,
                     WallSolveResult, chamber_locate, chamber_path,
                     effective_decompositions, slope_dim1, twisted_invariants,
@@ -34,6 +34,5 @@ from .partition import (PartitionTerm, hecke_block_sum, hecke_coset_transform,
 from .reductions import (EnriquesReduction, FiltrationDims, GitData, GitDims,
                          MoveStep, MoveTrace, elliptic_gcd_reduce,
                          enriques_reduce, filtration_stack_dim, git_weight,
-                         git_weight_factored, lagrangian_fiber_dim,
                          moduli_dim, parabolic_euler, pss_bound,
                          reduce_to_rank_one, trace_rank_sequence)

@@ -11,10 +11,8 @@ invariant failure (a bug in mukailab, reported without a traceback).
 from __future__ import annotations
 
 import json
-import random
 import sys
 from fractions import Fraction
-from importlib import resources
 
 from . import partition as partition_mod
 from . import reductions, series, transforms, walls
@@ -334,6 +332,7 @@ def _selftest(job):
 
 
 def _property_checks(name, samples):
+    import random   # only --selftest needs it, so other runs never load it
     rng = random.Random(11 + len(name))
     from .lattice import k3_model, random_mukai_vector
     m = k3_model()
@@ -366,6 +365,8 @@ def _property_checks(name, samples):
 
 
 def _load_fixture(name):
+    # only --selftest reads fixtures; on Python 3.12+ importlib.resources loads inspect
+    from importlib import resources
     try:
         text = resources.files("mukailab").joinpath("fixtures/%s.json" % name).read_text()
     except (FileNotFoundError, ModuleNotFoundError):

@@ -104,6 +104,45 @@ def _rref(rows, k):
     return rows, pivots
 
 
+def _kernel(rows, n):
+    """An integer basis of the rational null space of integer rows of length
+    n, as {free column j: vector}: the lcm of the pivots at j, 0 at the other
+    free columns, and the pivot entries the _rref rows then force."""
+    red, pivots = _rref(rows, n)
+    scale = lcm(*(red[i][c] for i, c in enumerate(pivots)))
+    basis = {}
+    for free in (j for j in range(n) if j not in pivots):
+        b = basis[free] = [0] * n
+        b[free] = scale
+        for i, c in enumerate(pivots):
+            b[c] = -red[i][free] * scale // red[i][c]
+    return basis
+
+
+def _xgcd(a, b):
+    """(x, y, g) with x a + y b = g = gcd(a, b) >= 0."""
+    x0, x1, y0, y1 = 1, 0, 0, 1
+    while b:
+        q, a, b = a // b, b, a % b
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    if a < 0:
+        a, x0, y0 = -a, -x0, -y0
+    return x0, y0, a
+
+
+def _bezout(w):
+    """(g, x) with x . w = g = gcd(w) >= 0: _xgcd folded left to right over
+    the nonzero entries of the integer vector w (_xgcd(0, w_i) = (0, +-1, |w_i|))."""
+    x, g = [0] * len(w), 0
+    for i, wi in enumerate(w):
+        if wi:
+            a, b, g = _xgcd(g, wi)
+            x = [a * c for c in x]
+            x[i] = b
+    return g, x
+
+
 @record
 class NSLattice:
     """A free Z-module with a symmetric integer intersection form."""

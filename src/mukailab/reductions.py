@@ -24,8 +24,9 @@ from math import gcd, isqrt
 
 from ._record import record
 from .errors import InvariantError, PreconditionError
-from .lattice import (SurfaceModel, hyperbolic_lattice, integral_coordinates,
-                      mukai_pair, mukai_square, rat, twist, vector_stats)
+from .lattice import (SurfaceModel, _bezout, _xgcd, hyperbolic_lattice,
+                      integral_coordinates, mukai_pair, mukai_square, rat, twist,
+                      vector_stats)
 from .series import LaurentPoly, hilb_series
 from .transforms import cor_ext_map, enriques_reflection_map
 
@@ -197,76 +198,6 @@ def reduce_to_rank_one(l, r, c1, a, m):
 
 
 # ---------------------------------------------------------------------------
-# E8 integer linear algebra helpers
-
-
-def _unimodular_complement(c):
-    """Given a primitive integer vector c, return u with (c, u) part of a
-    Z-basis.  Deterministic pairwise-Euclid construction."""
-    n = len(c)
-    tinv = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    w = list(c)
-    for j in range(1, n):
-        aa, bb = w[0], w[j]
-        if bb == 0:
-            continue
-        x, y, g = _xgcd(aa, bb)
-        # rows (0, j) of the reduction get [[x, y], [-b/g, a/g]]; columns of
-        # the inverse accumulate [[a/g, -y], [b/g, x]]
-        w[0], w[j] = g, 0
-        for i in range(n):
-            c0, cj = tinv[i][0], tinv[i][j]
-            tinv[i][0] = (aa // g) * c0 + (bb // g) * cj
-            tinv[i][j] = -y * c0 + x * cj
-    if w[0] == -1:
-        w[0] = 1
-        for i in range(n):
-            tinv[i][0] = -tinv[i][0]
-    if w[0] != 1:
-        raise PreconditionError("not-primitive", "complement needs a primitive vector")
-    return tuple(row[1] for row in tinv)
-
-
-def _xgcd(a, b):
-    x0, x1, y0, y1 = 1, 0, 0, 1
-    while b:
-        q, a, b = a // b, b, a % b
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    if a < 0:
-        a, x0, y0 = -a, -x0, -y0
-    return x0, y0, a
-
-
-def _solve_pairing(lat, c, target):
-    """Deterministic integer solution eta of (eta, c) = target.
-
-    Needs the functional (., c) to be surjective onto Z, which holds for
-    primitive c on a unimodular lattice.
-    """
-    n = lat.rank
-    w = lat.gram_mul(c)
-    # multi-extended-gcd over the functional coefficients
-    coeffs = [0] * n
-    g = 0
-    for i, wi in enumerate(w):
-        if wi == 0:
-            continue
-        if g == 0:
-            g = abs(wi)
-            coeffs[i] = 1 if wi > 0 else -1
-            continue
-        x, y, g2 = _xgcd(g, wi)
-        coeffs = [x * ci for ci in coeffs]
-        coeffs[i] += y
-        g = g2
-    if g == 0 or target % g:
-        raise PreconditionError("pairing-unsolvable")
-    mult = target // g
-    return tuple(ci * mult for ci in coeffs)
-
-
-# ---------------------------------------------------------------------------
 # Enriques reduction
 
 
@@ -327,8 +258,11 @@ def _e8_twist_for_content_and_s(m, v, want_s_above):
         candidates = ((1, N) + (0,) * 6 for N in range(0, 10 ** 6))
         need_twist = True
     else:
-        chat = tuple(x // gamma for x in c8)
-        u = _unimodular_complement(chat)
+        # u = (-y, x, 0, ..., 0) with x chat_0 + y chat_1 = gcd(chat_0, chat_1),
+        # or e_1 when chat_1 = 0, for the primitive chat = c8 / gamma: the 2x2
+        # minors of (chat, u) have gcd gcd(chat) = 1, so (chat, u) is part of a Z-basis
+        x, y, _ = _xgcd(c8[0] // gamma, c8[1] // gamma)
+        u = (-y, x) + (0,) * 6 if c8[1] else (0, 1) + (0,) * 6
         mbar = gamma // l
         candidates = (tuple(M * x for x in u)
                       for M in range(1, 10 ** 6) if gcd(M, mbar) == 1)
@@ -467,8 +401,11 @@ def _reduce_e8_case(trace, m, state, sq, sigma, f):
     s_cur = _s_param(state)
     if (s_cur - 1) % 2:
         raise InvariantError("s parameter must be odd")
-    eta8 = _solve_pairing(m.ns, (0, 0) + _e8_part(state.c), (s_cur - 1) // 2)
-    eta = m.ns.cls(eta8)
+    target = (s_cur - 1) // 2
+    g, x = _bezout(m.ns.gram_mul((0, 0) + _e8_part(state.c)))
+    if g == 0 or target % g:
+        raise PreconditionError("pairing-unsolvable")
+    eta = m.ns.cls([xi * (target // g) for xi in x])
     eta_sq = eta.self_intersection()
     D = sigma - f.scale(eta_sq / 2) + eta
     if D.self_intersection() != 0:
@@ -615,11 +552,6 @@ def moduli_dim(v, m, flavor="stack"):
     return sq + 1 if flavor == "stack" else sq + 2
 
 
-def lagrangian_fiber_dim(xi):
-    """Fiber dimension over the curve linear system: (xi^2)/2 + 1."""
-    return xi.self_intersection() / 2 + 1
-
-
 def pss_bound(v, m):
     """(<v^2>, strict?) for the properly-semistable locus bound
     dim <= <v^2>; strict unless m(v) = 2 and <v^2> = 8."""
@@ -679,26 +611,6 @@ def git_weight(dims, data):
     right = rat(dims.dimVp) * (beta0 * rat(dims.dim_alpha_VW)
                                + sum(e * rat(x) for e, x in zip(eps, dims.dim_alpha_i_V)))
     return left - right
-
-
-def git_weight_factored(dims, data):
-    """The equivalent factored form h(m)*(b0 dim a(V'xW) - sum e_i dim V_i
-    - a_1-weight * dimV' - b0' dimV'); valid when the unprimed dims are the
-    global ones (dimV = h(m), dim a_i(V) = h_i(m), dim a(VxW) = a1 n + h(m))."""
-    a1n = rat(data.a1) * rat(data.n)
-    if a1n == 0:
-        raise PreconditionError("division-by-zero")
-    eps = [rat(x) for x in data.eps_i]
-    him = [rat(x) for x in data.h_i_m]
-    hm = rat(data.h_m)
-    reduced = hm - sum(e * h for e, h in zip(eps, him))
-    beta0 = reduced / a1n
-    alpha1 = 1 - sum(eps, Fraction(0))
-    inner = (beta0 * rat(dims.dim_alpha_VpW)
-             - sum(e * rat(ki) for e, ki in zip(eps, dims.dim_V_i))
-             - alpha1 * rat(dims.dimVp)
-             - reduced * rat(dims.dimVp) / a1n)
-    return hm * inner
 
 
 def parabolic_euler(chi_F_top, chi_gr, alphas, chi_E):

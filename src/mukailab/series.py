@@ -131,19 +131,6 @@ class LaurentPoly:
     def is_diagonal(self):
         return all(i == j for i, j in self.terms)
 
-    def xy_degree(self):
-        """Top power of xy for a polynomial supported on the diagonal."""
-        if not self.terms:
-            raise PreconditionError("zero-polynomial")
-        if not self.is_diagonal():
-            raise PreconditionError("not-xy-polynomial")
-        return max(i for i, _ in self.terms)
-
-    def diagonal_coefficients(self):
-        if not self.is_diagonal():
-            raise PreconditionError("not-xy-polynomial")
-        return {i: c for (i, _), c in self.terms.items()}
-
     def hodge_numbers(self):
         """h^{p,q} = (-1)^{p+q} * coefficient; surface support (0..2)^2 only."""
         out = {}
@@ -200,11 +187,6 @@ class QSeries:
         if k.denominator != 1:
             return Fraction(0)
         return self.coeffs.get(k.numerator, Fraction(0))
-
-    def min_exponent(self):
-        if not self.coeffs:
-            return Fraction(0)
-        return Fraction(min(self.coeffs), self.denom)
 
     def sorted_terms(self):
         return [(Fraction(k, self.denom), c) for k, c in sorted(self.coeffs.items())]

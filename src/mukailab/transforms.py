@@ -23,7 +23,7 @@ from ._record import record
 from .errors import LatticeMismatchError, PreconditionError
 from .lattice import (GammaTriple, MukaiVector, NSClass, SurfaceModel,
                       _cone_solver, _dual_num, _form, _gram_mul,
-                      _reduce, _rref, integral_coordinates,
+                      _kernel, _reduce, integral_coordinates,
                       mukai_pair, rat, vector_of_gamma)
 
 
@@ -192,14 +192,6 @@ def isotropic_coords(v, v1, H, m):
     return IsotropicCoords(l, a, d, D)
 
 
-def isotropic_reconstruct(coords, v1, H, m):
-    r1 = v1.r
-    omega = MukaiVector(0, v1.c.lattice.zero(), 1)
-    hpart = MukaiVector(0, H, H.dot(v1.c) / r1)
-    dpart = MukaiVector(0, coords.D, coords.D.dot(v1.c) / r1)
-    return v1.scale(coords.l) - omega.scale(coords.a) + hpart.scale(coords.d) + dpart
-
-
 @record
 class IsotropicContext:
     """Data for the transform sending l*v1 - a*omega + (dH + D + ...) to
@@ -255,17 +247,10 @@ def _validate_isotropic_context(ctx):
 def _perp_basis(H):
     """A rational basis of the orthogonal complement of H in NS tensor Q,
     as {i: e_i - ((H, e_i)/(H, e_p)) e_p} over the coordinates i other
-    than the first p with (H, e_p) != 0."""
+    than the first p with (H, e_p) != 0: the null space of (G H.num)^T."""
     lat = H.lattice
-    n = lat.rank
-    w = lat.gram_mul(H.num)          # (H . e_i), up to the factor 1/H.den
-    piv = next((i for i, x in enumerate(w) if x != 0), None)
-    if piv is None:
-        return {i: lat.basis_class(i) for i in range(n)}
-    p = abs(w[piv])
-    return {i: _reduce(NSClass, lat, [p if j == i else -w[i] * p // w[piv] if j == piv else 0
-                                      for j in range(n)], p)
-            for i in range(n) if i != piv}
+    return {i: _reduce(NSClass, lat, b, b[i])
+            for i, b in _kernel([lat.gram_mul(H.num)], lat.rank).items()}
 
 
 def isotropic_fm_map(ctx, sign=1):
@@ -353,20 +338,8 @@ class FMPreconditions:
     a: Fraction
 
     @property
-    def deg_G1_zero(self):
-        return self.deg_G1 == 0
-
-    @property
-    def l_pos(self):
-        return self.l > 0
-
-    @property
-    def a_pos(self):
-        return self.a > 0
-
-    @property
     def applicable(self):
-        return self.deg_G1_zero and self.l_pos and self.a_pos
+        return self.deg_G1 == 0 and self.l > 0 and self.a > 0
 
 
 def fm_preconditions(v, v1, m, H):
@@ -539,14 +512,8 @@ def check_isometry(cmap, samples=1000, rng=None):
     every vector of the domain.  The proof is recomputed on every call.
     ``samples`` and ``rng`` are accepted and unused.
     """
-    n = cmap.source.ns.rank + 2
-    red, pivots = _rref([row for group, _, _ in cmap._checks for row in group], n)
-    basis = []
-    for free in (j for j in range(n) if j not in pivots):
-        b = _unit(n, free, lcm(*(red[i][c] for i, c in enumerate(pivots))))
-        for i, c in enumerate(pivots):
-            b[c] = -red[i][free] * b[free] // red[i][c]
-        basis.append(b)
+    basis = list(_kernel([row for group, _, _ in cmap._checks for row in group],
+                         cmap.source.ns.rank + 2).values())
     images = [_mul(cmap._rows, b) for b in basis]
     g_images = [_gram_mul(cmap.target.ns._mrows, y) for y in images]
     g_basis = [_gram_mul(cmap.source.ns._mrows, b) for b in basis]

@@ -308,10 +308,6 @@ class WallSolveResult:
     roots: tuple
     identical: bool = False
 
-    @property
-    def no_wall(self):
-        return self.identical
-
 
 def wall_solve_tf(v, v_sub, H, direction, m):
     """Solve chi(v_sub exp(-t dir))/r_sub = chi(v exp(-t dir))/r_v for t.

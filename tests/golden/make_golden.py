@@ -15,7 +15,7 @@ It writes two files next to this script:
 * ``demos.json``: the stdout of each script in ``demos/``.
 
 The workloads are read from ``perfbench/workloads.py`` and only run to
-record their inputs; nothing under ``perfbench/`` is written.
+record their inputs.
 """
 
 import contextlib

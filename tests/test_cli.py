@@ -225,6 +225,18 @@ def test_oversized_rational_is_parse_error(capsys, value):
     assert "rational-too-large" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("value, code", [
+    ("1e999", 0), ("1e1000", 2), ("9" * 1000, 0), ("9" * 1001, 2),
+    ("1/" + "7" * 1000, 0), ("1/" + "7" * 1001, 2), (10 ** 1000 - 1, 0), (10 ** 1000, 2)],
+    ids=["1e999", "1e1000", "str-1000-digits", "str-1001-digits", "den-1000-digits",
+         "den-1001-digits", "int-1000-digits", "int-1001-digits"])
+def test_rational_size_bound_is_exact(capsys, value, code):
+    # MAX_DIGITS = 1000: digits plus exponent, or the longer of numerator and denominator
+    doc = {"v": {"r": value, "c": [0, 0], "t": 1}, "w": {"r": 1, "c": [0, 0], "t": 0}}
+    assert main(["pair", "--surface", json.dumps(K3U), "--in", json.dumps(doc)]) == code
+    assert ("rational-too-large" in capsys.readouterr().out) == (code == 2)
+
+
 @pytest.mark.parametrize("argv", [
     ["reduce", "--kind", "elliptic-jacobian", "--in", '{"r": "x", "d": 2}'],
     ["partition", "--in", '{"r": [3]}'],

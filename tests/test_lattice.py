@@ -3,17 +3,21 @@ import pickle
 import subprocess
 import sys
 from fractions import Fraction as F
+from math import gcd
+from pathlib import Path
 
 import pytest
 
+import mukailab
 from mukailab import (GammaTriple, LatticeMismatchError, MukaiVector, NSClass,
                       NSLattice, PreconditionError, SurfaceModel, Wall, chi_of, dual, elliptic_model, enriques_lattice,
                       gamma_of, hyperbolic_lattice, k3_model,
                       mukai_pair, mukai_square, twist,
                       vector_of_gamma, vector_stats)
-from mukailab.lattice import random_mukai_vector
+from mukailab.lattice import _bezout, _kernel, random_mukai_vector
 
-from helpers import exp_class, fraction_pair, mukai_mul, random_ns_class, solve_in_span
+from helpers import (exp_class, former_kernel, fraction_pair, mukai_mul, random_ns_class,
+                     solve_in_span)
 
 
 def pair_oracle(v, w):
@@ -292,10 +296,15 @@ def test_vector_immutable_and_pickles(k3_u):
 
 def test_import_footprint_stays_small():
     # dataclasses pulls in inspect, ast and dis (about 1 MB resident);
-    # argparse is loaded only when cli.main builds its parser
-    code = ("import sys, mukailab, mukailab.cli; "
-            "print(sorted({'dataclasses', 'inspect', 'argparse'} & set(sys.modules)))")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+    # argparse is loaded only when cli.main builds its parser, random and
+    # importlib.resources only by --selftest.  -S leaves out site, whose
+    # .pth hooks may import these for other packages; the path is then set
+    # by hand to where this mukailab lives.
+    src = str(Path(mukailab.__file__).resolve().parent.parent)
+    code = ("import sys; sys.path.insert(0, %r); import mukailab, mukailab.cli; "
+            "print(sorted({'dataclasses', 'inspect', 'argparse', 'random', "
+            "'importlib.resources'} & set(sys.modules)))" % src)
+    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                          check=True).stdout
     assert out.strip() == "[]"
 
@@ -399,3 +408,50 @@ def test_dependent_generators_refused_high_rank(lat, rng):
                 gens + _random_gens(lat, 2, rng)):
         with pytest.raises(PreconditionError, match="dependent-generators"):
             _model_with_gens(lat, bad)
+
+
+# --- the two elimination helpers: _kernel and _bezout ------------------------
+
+
+def _rational_rank(rows, n):
+    """Rank of integer rows by Gaussian elimination in Fractions."""
+    rows = [[F(x) for x in row] for row in rows]
+    rank = 0
+    for c in range(n):
+        p = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if p is None:
+            continue
+        rows[rank], rows[p] = rows[p], rows[rank]
+        for i, row in enumerate(rows):
+            if i != rank and row[c]:
+                f = row[c] / rows[rank][c]
+                rows[i] = [x - f * y for x, y in zip(row, rows[rank])]
+        rank += 1
+    return rank
+
+
+def test_kernel_is_a_null_space_basis_and_matches_the_former_loop(rng):
+    for _ in range(600):
+        n = rng.randint(1, 7)
+        rows = [[rng.randint(-5, 5) if rng.random() < 0.6 else 0 for _ in range(n)]
+                for _ in range(rng.randint(0, 4))]
+        if rows and rng.random() < 0.3:
+            rows.append([2 * x - 3 * y for x, y in zip(rows[0], rows[-1])])
+        basis = _kernel(rows, n)
+        assert len(basis) == n - _rational_rank(rows, n)
+        for j, b in basis.items():
+            assert all(sum(x * y for x, y in zip(row, b)) == 0 for row in rows)
+            # one free column each: the vectors are independent
+            assert b[j] > 0 and all(b[k] == 0 for k in basis if k != j)
+        assert list(basis.values()) == former_kernel(rows, n)
+
+
+def test_bezout_writes_the_gcd_as_a_combination(rng):
+    sizes = (lambda: rng.randint(-60, 60), lambda: rng.randint(-10 ** 12, 10 ** 12), lambda: 0)
+    for _ in range(3000):
+        w = [rng.choice(sizes)() for _ in range(rng.randint(0, 10))]
+        g, x = _bezout(w)
+        assert len(x) == len(w)
+        assert sum(a * b for a, b in zip(x, w)) == g == gcd(*w)
+    assert _bezout([]) == (0, []) and _bezout([0, 0]) == (0, [0, 0])
+    assert _bezout([0, -4, 6]) == (2, [0, 1, 1])

@@ -159,6 +159,20 @@ def test_partition_size_guard():
         assert exc.value.precondition == "partition-too-large"
 
 
+def test_partition_work_bounds_are_exact(monkeypatch):
+    from mukailab import partition
+    # hecke_zr(1, ., 2, BOX0): one box vector and levels 0..2, work (1 + 2 + 1) * (2 + 1)
+    monkeypatch.setattr(partition, "MAX_PARTITION_WORK", 12)
+    assert hecke_zr(1, LAT, 2, BOX0)
+    monkeypatch.setattr(partition, "MAX_PARTITION_WORK", 11)
+    assert refusal(lambda: hecke_zr(1, LAT, 2, BOX0)) == "partition-too-large"
+    # the Hecke order r itself (order 0 needs work 2 only)
+    monkeypatch.setattr(partition, "MAX_PARTITION_WORK", 5)
+    assert hecke_zr(5, LAT, 0, BOX0)
+    monkeypatch.setattr(partition, "MAX_PARTITION_WORK", 4)
+    assert refusal(lambda: hecke_zr(5, LAT, 0, BOX0)) == "partition-too-large"
+
+
 def test_partition_refusals_do_not_print_huge_numbers():
     # str() of an int over 4300 digits raises ValueError, which once
     # replaced these refusals

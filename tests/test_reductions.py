@@ -9,16 +9,18 @@ import pytest
 
 from mukailab import (GitData, GitDims, PreconditionError,
                       elliptic_gcd_reduce, enriques_reduce, euler_hilb,
-                      filtration_stack_dim, git_weight, git_weight_factored,
-                      hilb_series, lagrangian_fiber_dim, moduli_dim, mukai_square,
+                      filtration_stack_dim, git_weight,
+                      hilb_series, moduli_dim, mukai_square,
                       parabolic_euler, pss_bound, reduce_to_rank_one,
                       trace_rank_sequence, twist, vector_stats)
 from mukailab._record import replace
 from mukailab.lattice import abelian_model, enriques_model, k3_model
 
-from helpers import (e8_twist_grow_s_by_search, enriques_per_call, enriques_reflection,
-                     euclid_sequence, random_enriques_vector, rank_one_inputs,
-                     rank_one_per_call, synthetic_git_data)
+from helpers import (bezout_by_solve_pairing, e8_twist_for_content_and_s,
+                     e8_twist_grow_s_by_search, enriques_per_call, enriques_reflection,
+                     euclid_sequence, git_weight_factored, random_enriques_vector,
+                     rank_one_inputs, rank_one_per_call, solve_pairing,
+                     synthetic_git_data, unimodular_complement)
 
 
 # --- rank-one reduction ------------------------------------------------------
@@ -157,6 +159,80 @@ def test_e8_content_twist_reaches_the_content(enriques, rng):
         assert w.c.content() == gcd(r, v.c.content())
         assert want_s is None or -2 * w.t > want_s
     assert min(kinds.values()) >= 20, kinds
+
+
+# --- the E8 eliminations against the former routines --------------------------
+
+
+def _primitive(rng, n):
+    while True:
+        c = [rng.randint(-9, 9) if rng.random() < 0.7 else 0 for _ in range(n)]
+        if any(c):
+            g = gcd(*c)
+            return [x // g for x in c]
+
+
+def test_e8_complement_matches_the_pairwise_construction(enriques, rng):
+    from mukailab import reductions
+    for _ in range(600):
+        r, gamma = rng.choice((1, 3, 5, 7, 9, 15)), rng.randint(2, 12)
+        if gcd(r, gamma) == gamma:
+            continue            # no content twist is needed
+        chat = _primitive(rng, 8)
+        if rng.random() < 0.3:
+            chat[rng.randrange(2)] = 0
+            if not any(chat):
+                continue
+            chat = [x // gcd(*chat) for x in chat]
+        v = enriques.vector(r, [0, 0] + [gamma * x for x in chat], F(-1, 2))
+        # with no bound on s the content twist is the first candidate, 1 * u
+        u = reductions._e8_twist_for_content_and_s(enriques, v, None).int_coords()[2:]
+        assert u == unimodular_complement(chat)
+        assert gcd(*(chat[i] * u[j] - chat[j] * u[i]
+                     for i in range(8) for j in range(i + 1, 8))) == 1
+        want_s = 2 * rng.randint(-20, 20) + 1
+        assert reductions._e8_twist_for_content_and_s(enriques, v, want_s) \
+            == e8_twist_for_content_and_s(enriques, v, want_s)
+
+
+def test_pairing_solution_matches_the_former_solve(enriques, rng):
+    from mukailab.lattice import NSLattice, _bezout
+    solved = 0
+    for _ in range(3000):
+        if rng.random() < 0.5:
+            lat, c = enriques.ns, [0, 0] + _primitive(rng, 8)
+        else:
+            n = rng.randint(1, 5)
+            gram = [[0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i, n):
+                    gram[i][j] = gram[j][i] = rng.randint(-4, 4)
+            lat = NSLattice(gram, tuple("b%d" % i for i in range(n)))
+            c = [rng.randint(-5, 5) for _ in range(n)]
+        target = rng.randint(-60, 60)
+        try:
+            want = solve_pairing(lat, c, target)
+        except PreconditionError:
+            want = None
+        # the "drive s to 1" solve of reductions._reduce_e8_case
+        g, x = _bezout(lat.gram_mul(c))
+        got = tuple(xi * (target // g) for xi in x) if g and target % g == 0 else None
+        assert got == want
+        solved += want is not None
+    assert solved > 1500
+
+
+def test_enriques_traces_equal_the_oracle_chain(enriques, rng, monkeypatch):
+    from mukailab import reductions
+    vs = [_benchmark_enriques_vector(enriques, rng) for _ in range(300)]
+    got = [enriques_reduce(v, enriques) for v in vs]
+    monkeypatch.setattr(reductions, "_e8_twist_for_content_and_s", e8_twist_for_content_and_s)
+    monkeypatch.setattr(reductions, "_bezout", bezout_by_solve_pairing)
+    want = [enriques_reduce(v, enriques) for v in vs]
+    assert [(_whole(r.trace), r.n, r.hodge) for r in got] \
+        == [(_whole(r.trace), r.n, r.hodge) for r in want]
+    drives = sum(any(("note", "drive s to 1") in s.params for s in r.trace.steps) for r in got)
+    assert drives >= 5, drives
 
 
 def test_enriques_swaps_match_the_reflection_formula(enriques, rng):
@@ -453,7 +529,7 @@ def test_lagrangian_fiber_dim(k3_u):
     # (xi^2) = 2g - 2 gives fiber dimension g
     for g in range(0, 6):
         xi = k3_u.cls((1, g))          # (xi^2) = 2g
-        assert lagrangian_fiber_dim(xi) == g + 1
+        assert xi.self_intersection() / 2 + 1 == g + 1
 
 
 def test_pss_bound(abelian_u):

@@ -6,7 +6,8 @@ from mukailab import (PreconditionError, e_gl, eta_inv12, euler_hilb,
                       hecke_cosets, hilb_series, wallcross_epoly)
 from mukailab.series import LaurentPoly as LP
 
-from helpers import elliptic_epoly_recursion, product_euler_hilb, product_hilb_series
+from helpers import (diagonal_coefficients, elliptic_epoly_recursion, min_exponent,
+                     product_euler_hilb, product_hilb_series, xy_degree)
 
 K3_HODGE = LP({(0, 0): 1, (2, 0): 1, (0, 2): 1, (1, 1): 20, (2, 2): 1})
 ENRIQUES_HODGE = LP({(0, 0): 1, (1, 1): 10, (2, 2): 1})
@@ -39,13 +40,13 @@ def test_e_gl_two():
 
 @pytest.mark.parametrize("N", range(1, 9))
 def test_e_gl_degree(N):
-    assert e_gl(N).xy_degree() == N * N
+    assert xy_degree(e_gl(N)) == N * N
 
 
 def test_e_gl_univariate_product():
     # evaluated as a polynomial in q = xy, e_gl(N) is prod (q^N - q^i)
     for N in range(1, 7):
-        coeffs = e_gl(N).diagonal_coefficients()
+        coeffs = diagonal_coefficients(e_gl(N))
         direct = {0: F(1)}
         for i in range(N):
             new = {}
@@ -120,7 +121,7 @@ def test_hilb_series_rejects_bad_hodge():
 
 def test_eta_leading_and_low_coeffs():
     eta = eta_inv12(3)
-    assert eta.min_exponent() == F(-1, 2)
+    assert min_exponent(eta) == F(-1, 2)
     assert eta.coefficient(F(-1, 2)) == 1
     assert eta.coefficient(F(1, 2)) == 12
     assert eta.coefficient(F(3, 2)) == 90
@@ -138,6 +139,27 @@ def test_eta_truncation_guard():
     eta = eta_inv12(4)
     with pytest.raises(PreconditionError):
         eta.coefficient(F(11, 2))
+
+
+def _beyond_truncation(eta, exponent):
+    with pytest.raises(PreconditionError) as exc:
+        eta.coefficient(exponent)
+    return exc.value.precondition == "beyond-truncation"
+
+
+def test_eta_truncation_is_exact():
+    # order 4 knows q^{7/2} = q^{4 - 1/2}; q^{9/2} is the first unknown term
+    eta = eta_inv12(4)
+    assert eta.coefficient(F(7, 2)) == 2535 and eta.coefficient(3) == 0
+    assert _beyond_truncation(eta, F(9, 2))
+
+
+def test_order_zero_series():
+    assert hilb_series(ENRIQUES_HODGE, 0) == [LP.one()]
+    assert euler_hilb(12, 0) == [1] and euler_hilb(-4, 0) == [1]
+    eta = eta_inv12(0)
+    assert eta.coefficient(F(-1, 2)) == 1 and eta.order == F(-1, 2)
+    assert _beyond_truncation(eta, F(1, 2))
 
 
 # --- Hecke cosets -------------------------------------------------------------

@@ -11,14 +11,14 @@ from mukailab import (EllipticRelativeParams, GammaTriple, IsotropicContext,
                       elliptic_jacobian_map, elliptic_relative_fm,
                       elliptic_relative_map, enriques_reflection_map,
                       fm_preconditions, generic_model, identity_map,
-                      isotropic_coords, isotropic_fm_map,
-                      isotropic_reconstruct, k3_model, mukai_pair,
+                      isotropic_coords, isotropic_fm_map, k3_model, mukai_pair,
                       mukai_square, twist_map, vector_of_gamma)
 from mukailab.lattice import random_mukai_vector, replace
 
 from helpers import (consistent_relative_map, domain_sampler, elliptic_k3,
                      enriques_reflection, inconsistent_relative_map,
-                     isotropic_fm_formula, sampled_isometry)
+                     isotropic_fm_formula, isotropic_reconstruct, perp_basis,
+                     random_ns_class, sampled_isometry)
 
 
 
@@ -113,7 +113,7 @@ def test_isotropic_coords_roundtrip(abelian_u, rng):
     for _ in range(300):
         v = random_mukai_vector(abelian_u, rng)
         co = isotropic_coords(v, v1, H, abelian_u)
-        assert isotropic_reconstruct(co, v1, H, abelian_u) == v
+        assert isotropic_reconstruct(co, v1, H) == v
 
 
 def test_isotropic_fm_kernel_to_omega(abelian_u):
@@ -210,6 +210,25 @@ def test_isotropic_context_validation(abelian_u):
         isotropic_fm_map(bad)
 
 
+def test_perp_basis_matches_the_former_pivot_rule(rng):
+    from mukailab import NSLattice, transforms
+    degenerate = 0
+    for _ in range(1500):
+        n = rng.randint(1, 5)
+        gram = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                gram[i][j] = gram[j][i] = rng.randint(-3, 3) if rng.random() < 0.7 else 0
+        lat = NSLattice(gram, tuple("b%d" % i for i in range(n)))
+        H = random_ns_class(lat, rng) if rng.random() < 0.9 else lat.zero()
+        basis = transforms._perp_basis(H)
+        assert basis == perp_basis(H)
+        assert len(basis) == n - any(lat.gram_mul(H.num))
+        assert all(b.dot(H) == 0 for b in basis.values())
+        degenerate += not any(lat.gram_mul(H.num))
+    assert degenerate >= 50
+
+
 def test_fm_preconditions(abelian_u):
     v1 = abelian_u.vector(1, (0, 0), 0)
     H = abelian_u.cls((1, 2))
@@ -220,6 +239,11 @@ def test_fm_preconditions(abelian_u):
     v = abelian_u.vector(2, (1, -2), -3)      # c = D with (D, H) = 0
     rep = fm_preconditions(v, v1, abelian_u, H)
     assert rep.applicable
+    # each condition alone fails it: l = 0, then deg != 0, with the others holding
+    rep = fm_preconditions(-abelian_u.omega(), v1, abelian_u, H)
+    assert (rep.deg_G1, rep.l, rep.a) == (0, 0, 1) and not rep.applicable
+    rep = fm_preconditions(abelian_u.vector(2, (1, 0), -3), v1, abelian_u, H)
+    assert rep.deg_G1 != 0 and rep.l > 0 and rep.a > 0 and not rep.applicable
 
 
 # --- elliptic transforms ---------------------------------------------------

@@ -410,7 +410,7 @@ def test_wall_solve_proportional_no_wall():
     m = k3_with_perp(3)
     v = m.vector(2, (0, 2), -4)
     res = wall_solve_tf(v, v.scale(F(1, 2)), m.polarization, m.cls((0, 1)), m)
-    assert res.no_wall
+    assert res.identical and res.roots == ()
 
 
 def test_wall_solve_orthogonal_direction_no_wall():
@@ -419,7 +419,7 @@ def test_wall_solve_orthogonal_direction_no_wall():
     v = m.vector(2, (0, 0), 2)
     v_sub = m.vector(1, (0, 0), 1)
     res = wall_solve_tf(v, v_sub, m.polarization, m.cls((1, 0)), m)
-    assert res.no_wall
+    assert res.identical and res.roots == ()
 
 
 def test_wall_solve_scaling_invariance(rng):
